@@ -65,6 +65,7 @@ from .spectral_counts import (
     counting_direct,
     edge_counting,
     eigencount_below,
+    inertia,
 )
 from .weak_lp import (
     DpWindowEstimate,

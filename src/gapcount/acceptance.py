@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .floquet import (
     GapEdge,
@@ -38,7 +37,6 @@ from .pdo_lab import (
     torus_trig,
 )
 from .periodic_graph import (
-    FiniteHamiltonian,
     assemble_truncated,
     potential_from_function,
     square_lattice,
@@ -61,19 +59,6 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
-
-
-def _wrap_matrix(A: np.ndarray) -> FiniteHamiltonian:
-    """Adapt a bare symmetric matrix to the truncated-Hamiltonian interface."""
-    n = A.shape[0]
-    return FiniteHamiltonian(
-        graph=None,  # type: ignore[arg-type]
-        L=0,
-        matrix=sp.csr_matrix(A),
-        cells=np.zeros((n, 1), dtype=int),
-        vertex_ids=np.ones(n, dtype=int),
-        positions=np.zeros((n, 1)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +126,7 @@ def criterion_04_bs_identity() -> tuple[bool, str]:
     checked = 0
     while checked < 200:
         H, v, lam, sign = _random_gapped_model(rng)
-        Hw = _wrap_matrix(H)
-        X = bs_matrix(Hw, v, lam)
+        X = bs_matrix(H, v, lam)
         for _ in range(50):
             tau = float(rng.uniform(0.1, 10.0))
             t = tau if sign == "+" else -tau
@@ -155,7 +139,7 @@ def criterion_04_bs_identity() -> tuple[bool, str]:
             break
         else:
             continue
-        cd = counting_direct(Hw, v, lam, tau, sign)
+        cd = counting_direct(H, v, lam, tau, sign)
         if cb.value != cd.value:
             mismatches += 1
         checked += 1

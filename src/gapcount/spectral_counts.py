@@ -1,13 +1,26 @@
 """Counting functions N_{+/-}(lambda, tau) on truncated lattices.
 
-Two independent routes:
+Two independent routes, neither of which forms a dense n x n array:
 
 * Birman-Schwinger: eigenvalue counting for the fixed compact matrix
   X(lambda) = V^{1/2} (lambda I - H_L)^{-1} V^{1/2}, so that
-  N_+ = #{eig X > 1/tau} and N_- = #{eig X < -1/tau}.
+  N_+ = #{eig X > 1/tau} and N_- = #{eig X < -1/tau}.  X is applied
+  through one sparse LU of lambda I - H_L, and only the eigenvalues
+  beyond a threshold are computed, by implicitly restarted Lanczos
+  (ARPACK `eigsh`): k grows until the innermost Ritz value lies inside
+  the threshold by more than its residual, and Ritz vectors beyond it are
+  locked and searched past until a pass finds none.  One such partial
+  spectrum serves every narrower threshold.  Small supports use the
+  dense formed X.
 * Direct spectral inertia: difference of eigenvalue counts below lambda
-  between H_L and H_L +/- tau V (Sturm counting for tridiagonal
-  matrices, dense eigensolve otherwise).
+  between H_L and H_L +/- tau V.  Each count is the number of negative
+  pivots of a sparse symmetric LDL^T of A - x I (Sylvester's law of
+  inertia), from SuperLU with diagonal pivoting and a minimum-degree
+  ordering; a factorization that left the diagonal or grew its pivots is
+  retried in natural order, then replaced by a dense eigensolve.
+
+Every counting function takes H_L either as a FiniteHamiltonian or as a
+symmetric matrix, sparse or dense.
 """
 
 from __future__ import annotations
@@ -17,8 +30,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .floquet import BandStructure, Gap, band_structure, find_gaps, format_real
 from .gamma import GammaResult, gamma_coefficient
@@ -33,6 +46,16 @@ from .periodic_graph import (
 
 _BOUNDARY_TOL = 1e-10
 _RESOLVENT_TOL = 1e-8
+# An LDL^T whose entries grew beyond this factor over those of A - xI is not
+# trusted for its signs.  Growth near 1/delta comes from a shift delta from
+# the spectrum; below 1/sqrt(eps) the backward error eps/delta stays below delta.
+_PIVOT_GROWTH = 1e7
+# Supports up to this size get the dense formed X; larger ones use eigsh.
+_DENSE_SUPPORT = 400
+_EIGSH_START_K = 8
+# ARPACK's tolerance relative to each Ritz value's distance from the
+# threshold; explicit residuals, not this, bound the eigenvalues.
+_EIGSH_TOL = 1e-2
 
 
 class CountingError(ValueError):
@@ -44,23 +67,12 @@ class Count(NamedTuple):
     boundary: bool  # threshold within 1e-10 of an eigenvalue
 
 
-@dataclass
-class BSMatrix:
-    """V^{1/2} (lambda I - H_L)^{-1} V^{1/2} restricted to the V-support."""
+class Inertia(NamedTuple):
+    below: int  # eigenvalues strictly below the shift
+    route: str  # "mmd", "natural" or "dense"
 
-    lam: float
-    matrix: np.ndarray
-    support: np.ndarray  # site indices with V > 0
-    _eigenvalues: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        if self._eigenvalues is None:
-            if self.matrix.size:
-                self._eigenvalues = np.linalg.eigvalsh(self.matrix)
-            else:
-                self._eigenvalues = np.zeros(0)
-        return self._eigenvalues
+Matrix = FiniteHamiltonian | sp.spmatrix | sp.sparray | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,119 +125,241 @@ class EdgeCountResult:
 
 
 # ---------------------------------------------------------------------------
+# operands
+
+
+def _symmetric_matrix(H: Matrix) -> sp.csc_matrix:
+    """H_L as a sparse CSC matrix, checked square and symmetric."""
+    A = H.matrix if isinstance(H, FiniteHamiltonian) else H
+    A = sp.csc_matrix(A, dtype=float)
+    if A.shape[0] != A.shape[1]:
+        raise CountingError(f"matrix must be square, got shape {A.shape}")
+    asym = abs(A - A.T)
+    if asym.nnz and asym.max() > 1e-12 * abs(A).max():
+        raise CountingError("matrix must be symmetric")
+    return A
+
+
+def _potential(V: DecayingPotential | np.ndarray, nsites: int) -> np.ndarray:
+    v = V.values if isinstance(V, DecayingPotential) else np.asarray(V, dtype=float)
+    if v.shape != (nsites,):
+        raise CountingError("potential not sampled on the same box as H_L")
+    if v.size and v.min() < 0.0:
+        raise CountingError("potential must be nonnegative")
+    return v
+
+
+# ---------------------------------------------------------------------------
 # eigenvalue counting below a shift
 
 
-def _tridiagonal_bands(A: sp.spmatrix) -> tuple[np.ndarray, np.ndarray] | None:
-    """Return (diag, offdiag) if A is symmetric tridiagonal, else None."""
-    coo = A.tocoo()
-    if np.any(np.abs(coo.row - coo.col) > 1):
+def _ldlt_negative_pivots(M: sp.csc_matrix, ordering: str) -> int | None:
+    """#negative pivots of a diagonally pivoted LDL^T of M, None if untrusted."""
+    try:
+        lu = splu(M, permc_spec=ordering, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError:  # an exactly zero pivot column
         return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):  # left the diagonal
+        return None
+    pivots = lu.U.diagonal()
+    if not np.all(np.isfinite(pivots)):
+        return None
+    if np.abs(lu.U.data).max() > _PIVOT_GROWTH * np.abs(M.data).max():
+        return None
+    return int(np.count_nonzero(pivots < 0.0))
+
+
+def inertia(A: Matrix, x: float) -> Inertia:
+    """#eigenvalues of the symmetric matrix A strictly below x, and the route.
+
+    With diagonal pivoting P (A - xI) P^T = L U, and diag(U) is the D of an
+    LDL^T, so its negative entries count the eigenvalues below x.
+    """
+    A = _symmetric_matrix(A)
     n = A.shape[0]
-    diag = np.zeros(n)
-    off = np.zeros(n - 1)
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        if r == c:
-            diag[r] += v
-        elif c == r + 1:
-            off[r] += v
-    return diag, off
-
-
-def _sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
-    """#eigenvalues < x of a symmetric tridiagonal matrix (LDL^T signature)."""
-    count = 0
-    d = diag[0] - x
-    if d < 0.0:
-        count += 1
-    tiny = np.finfo(float).tiny
-    for i in range(1, diag.size):
-        denom = d if d != 0.0 else -tiny
-        d = diag[i] - x - off[i - 1] ** 2 / denom
-        if d < 0.0:
-            count += 1
-    return count
-
-
-def eigencount_below(A: sp.spmatrix | np.ndarray, x: float) -> int:
-    """#eigenvalues of the symmetric matrix A strictly below x."""
-    if sp.issparse(A):
-        bands = _tridiagonal_bands(A)
-        if bands is not None:
-            return _sturm_count(bands[0], bands[1], x)
-        A = A.toarray()
-    w = np.linalg.eigvalsh(np.asarray(A))
-    return int(np.count_nonzero(w < x))
-
-
-def _check_resolvent_point(H: FiniteHamiltonian, lam: float) -> None:
-    """Reject lambda within 1e-8 of the spectrum of H_L."""
-    A = H.matrix
-    bands = _tridiagonal_bands(A)
-    if bands is not None:
-        lo = _sturm_count(bands[0], bands[1], lam - _RESOLVENT_TOL)
-        hi = _sturm_count(bands[0], bands[1], lam + _RESOLVENT_TOL)
-        if hi > lo:
-            raise CountingError(
-                f"lambda={lam} is within {_RESOLVENT_TOL} of an eigenvalue of H_L"
-            )
-        return
+    M = (A - x * sp.identity(n, format="csc")).tocsc()
+    if n:
+        for ordering, route in (("MMD_AT_PLUS_A", "mmd"), ("NATURAL", "natural")):
+            below = _ldlt_negative_pivots(M, ordering)
+            if below is not None:
+                return Inertia(below, route)
     w = np.linalg.eigvalsh(A.toarray())
-    gapd = float(np.min(np.abs(w - lam)))
-    if gapd <= _RESOLVENT_TOL:
-        nearest = float(w[np.argmin(np.abs(w - lam))])
+    return Inertia(int(np.count_nonzero(w < x)), "dense")
+
+
+def eigencount_below(A: Matrix, x: float) -> int:
+    """#eigenvalues of the symmetric matrix A strictly below x."""
+    return inertia(A, x).below
+
+
+def _check_resolvent_point(A: sp.csc_matrix, lam: float) -> int:
+    """Reject lambda within 1e-8 of the spectrum of A; else #eigenvalues below it."""
+    below = inertia(A, lam - _RESOLVENT_TOL).below
+    if inertia(A, lam + _RESOLVENT_TOL).below > below:
         raise CountingError(
-            f"lambda={lam} too close to sigma(H_L): nearest eigenvalue {nearest}"
+            f"lambda={lam} is within {_RESOLVENT_TOL} of an eigenvalue of H_L"
         )
+    return below
 
 
 # ---------------------------------------------------------------------------
 # Birman-Schwinger route
 
 
-def bs_matrix(H: FiniteHamiltonian, V: DecayingPotential | np.ndarray, lam: float) -> BSMatrix:
+@dataclass(frozen=True)
+class _Tail:
+    """Eigenvalues mu of s X (s = +/-1) with error bounds, complete down to start."""
+
+    mu: np.ndarray
+    err: np.ndarray
+    start: float
+
+    def decides(self, threshold: float) -> bool:
+        """Whether mu settles both the count beyond the threshold and the
+        boundary flag there, exactly as the true eigenvalues would."""
+        if threshold < self.start:
+            return False
+        d = np.abs(self.mu - threshold)
+        return not np.any((d < self.err) | (np.abs(d - _BOUNDARY_TOL) < self.err))
+
+
+@dataclass
+class BSMatrix:
+    """V^{1/2} (lambda I - H_L)^{-1} V^{1/2} restricted to the V-support.
+
+    X is applied through one sparse LU of lambda I - H_L.  `matrix` and
+    `eigenvalues` form the dense X on first access; `tail` computes only
+    the eigenvalues beyond a threshold and caches them per sign.
+    """
+
+    lam: float
+    support: np.ndarray  # site indices with V > 0
+    sqrtv: np.ndarray  # V^{1/2} on the support
+    nsites: int
+    _lu: object | None = field(default=None, repr=False)
+    _matrix: np.ndarray | None = field(default=None, repr=False)
+    _eigenvalues: np.ndarray | None = field(default=None, repr=False)
+    _tails: dict[str, list[_Tail]] = field(default_factory=dict, repr=False)
+
+    def apply(self, Y: np.ndarray) -> np.ndarray:
+        """X @ Y for a vector or a block of columns on the support."""
+        Y = np.asarray(Y, dtype=float)
+        rhs = np.zeros((self.nsites,) + Y.shape[1:])
+        rhs[self.support] = (self.sqrtv * Y.T).T
+        return (self.sqrtv * self._lu.solve(rhs)[self.support].T).T
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            X = self.apply(np.eye(self.support.size)) if self.support.size else np.zeros((0, 0))
+            self._matrix = 0.5 * (X + X.T)
+        return self._matrix
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        if self._eigenvalues is None:
+            if self.matrix.size:
+                self._eigenvalues = np.linalg.eigvalsh(self.matrix)
+            else:
+                self._eigenvalues = np.zeros(0)
+        return self._eigenvalues
+
+    def tail(self, sign: str, threshold: float) -> np.ndarray:
+        """Eigenvalues of +X ('+') or -X ('-') that include every one beyond
+        threshold - 1e-10, accurate enough to decide the count beyond the
+        threshold and whether one lies within 1e-10 of it."""
+        tails = self._tails.setdefault(sign, [])
+        for t in tails:
+            if t.decides(threshold):
+                return t.mu
+        t = self._partial_spectrum(1.0 if sign == "+" else -1.0, threshold)
+        tails.append(t)
+        return t.mu
+
+    def _dense_tail(self, s: float) -> _Tail:
+        return _Tail(s * self.eigenvalues, np.zeros(self.support.size), -math.inf)
+
+    def _partial_spectrum(self, s: float, threshold: float) -> _Tail:
+        m = self.support.size
+        if m <= _DENSE_SUPPORT:
+            return self._dense_tail(s)
+
+        # Lanczos on A = s X - threshold: ARPACK accepts a Ritz value once its
+        # residual is below tol times its distance from the threshold, so the
+        # eigenvalues that accumulate at 0 need not be resolved.
+        def shifted(Y):
+            return s * self.apply(Y) - threshold * Y
+
+        # Ritz vectors beyond the threshold are locked into U, and each pass
+        # runs on A with U moved far inside, from a fresh start vector, until
+        # a pass finds nothing beyond.  A lone Krylov space holds one vector
+        # per distinct eigenvalue, so the passes also catch repeated ones.
+        rng = np.random.default_rng(0)
+        U, theta, err = np.zeros((m, 0)), np.zeros(0), np.zeros(0)
+        k = _EIGSH_START_K
+        while U.shape[1] + 2 * k + 1 < m:
+            push = 1.0 + float(np.abs(theta).max(initial=0.0))
+
+            def deflated(y, U=U, push=push):
+                c = U.T @ y
+                z = shifted(y - U @ c)
+                return z - U @ (U.T @ z) - push * (U @ c)
+
+            op = LinearOperator((m, m), matvec=deflated, dtype=float)
+            try:
+                w, W = eigsh(op, k, which="LA", v0=rng.standard_normal(m), tol=_EIGSH_TOL)
+            except ArpackError:
+                break
+            # For symmetric X each Ritz value lies within its residual norm
+            # of an eigenvalue.
+            e = np.linalg.norm(shifted(W) - W * w, axis=0)
+            beyond = w >= -_BOUNDARY_TOL - e
+            if not beyond.any():
+                tail = _Tail(theta + threshold, err, threshold)
+                return tail if tail.decides(threshold) else self._dense_tail(s)
+            U = np.hstack([U, W[:, beyond]])
+            theta, err = np.concatenate([theta, w[beyond]]), np.concatenate([err, e[beyond]])
+            if beyond.all():
+                k = max(k, int(1.25 * _tail_rank(theta + threshold, threshold)) + 8 - theta.size)
+            else:
+                k = _EIGSH_START_K
+        return self._dense_tail(s)
+
+
+def _tail_rank(mu: np.ndarray, threshold: float) -> float:
+    """Rank at which eigenvalues continuing the power law through ranks k/2
+    and k of mu (k = mu.size) reach the threshold; 2k without such a law."""
+    mu = np.sort(mu)[::-1]
+    k = mu.size
+    hi, lo = mu[(k - 1) // 2], mu[-1]
+    if lo > threshold > 0.0 and hi > lo:
+        return k * (lo / threshold) ** (math.log(2.0) / math.log(hi / lo))
+    return 2.0 * k
+
+
+def bs_matrix(H: Matrix, V: DecayingPotential | np.ndarray, lam: float) -> BSMatrix:
     """X = V^{1/2} (lambda I - H_L)^{-1} V^{1/2} on the support of V."""
-    v = V.values if isinstance(V, DecayingPotential) else np.asarray(V, dtype=float)
-    if v.shape != (H.nsites,):
-        raise CountingError("potential not sampled on the same box as H_L")
-    if v.min() < 0.0:
-        raise CountingError("potential must be nonnegative")
-    _check_resolvent_point(H, lam)
+    A = _symmetric_matrix(H)
+    n = A.shape[0]
+    v = _potential(V, n)
+    _check_resolvent_point(A, lam)
     support = np.flatnonzero(v > 0.0)
-    if support.size == 0:
-        return BSMatrix(lam, np.zeros((0, 0)), support)
-    sqrtv = np.sqrt(v[support])
-    rhs = np.zeros((H.nsites, support.size))
-    rhs[support, np.arange(support.size)] = sqrtv
-    A = sp.identity(H.nsites, format="csr") * lam - H.matrix
-    bands = _tridiagonal_bands(A)
-    if bands is not None:
-        ab = np.zeros((3, H.nsites))
-        ab[0, 1:] = bands[1]
-        ab[1] = bands[0]
-        ab[2, :-1] = bands[1]
-        Y = sla.solve_banded((1, 1), ab, rhs)
-    else:
-        Y = sla.solve(A.toarray(), rhs, assume_a="sym")
-    X = sqrtv[:, None] * Y[support]
-    X = 0.5 * (X + X.T)
-    return BSMatrix(lam, X, support)
+    X = BSMatrix(lam, support, np.sqrt(v[support]), n)
+    if support.size:
+        X._lu = splu((lam * sp.identity(n, format="csc") - A).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return X
 
 
 def counting_bs(X: BSMatrix, tau: float, sign: str) -> Count:
     """n_{+/-}(1/tau, X): eigenvalues of X beyond the threshold 1/tau."""
     if tau <= 0:
         raise CountingError("tau must be positive")
-    w = X.eigenvalues
-    thr = 1.0 / tau
-    if sign == "+":
-        value = int(np.count_nonzero(w > thr))
-        boundary = bool(w.size and np.min(np.abs(w - thr)) <= _BOUNDARY_TOL)
-    elif sign == "-":
-        value = int(np.count_nonzero(w < -thr))
-        boundary = bool(w.size and np.min(np.abs(w + thr)) <= _BOUNDARY_TOL)
-    else:
+    if sign not in ("+", "-"):
         raise CountingError("sign must be '+' or '-'")
+    thr = 1.0 / tau
+    mu = X.tail(sign, thr)  # eigenvalues of +X or -X
+    value = int(np.count_nonzero(mu > thr))
+    boundary = bool(mu.size and np.min(np.abs(mu - thr)) <= _BOUNDARY_TOL)
     return Count(value, boundary)
 
 
@@ -233,34 +367,37 @@ def counting_bs(X: BSMatrix, tau: float, sign: str) -> Count:
 # direct inertia route
 
 
-def _shifted(H: FiniteHamiltonian, v: np.ndarray, t: float) -> sp.csr_matrix:
-    return (H.matrix + sp.diags(t * v)).tocsr()
-
-
 def counting_direct(
-    H: FiniteHamiltonian,
+    H: Matrix,
     V: DecayingPotential | np.ndarray,
     lam: float,
     tau: float,
     sign: str,
+    *,
+    base: int | None = None,
 ) -> Count:
-    """Inertia difference between H_L and H_L +/- tau V below lambda."""
+    """Inertia difference between H_L and H_L +/- tau V below lambda.
+
+    `base`, when given, is the number of eigenvalues of H_L below lambda,
+    counted by a caller that has already checked lambda against sigma(H_L).
+    """
     if tau <= 0:
         raise CountingError("tau must be positive")
-    v = V.values if isinstance(V, DecayingPotential) else np.asarray(V, dtype=float)
-    if v.shape != (H.nsites,):
-        raise CountingError("potential not sampled on the same box as H_L")
-    _check_resolvent_point(H, lam)
-    base = eigencount_below(H.matrix, lam)
-    if sign == "+":
-        shifted = _shifted(H, v, tau)
-        value = base - eigencount_below(shifted, lam)
-    elif sign == "-":
-        shifted = _shifted(H, v, -tau)
-        value = eigencount_below(shifted, lam) - base
-    else:
+    if sign not in ("+", "-"):
         raise CountingError("sign must be '+' or '-'")
-    return Count(max(value, 0), False)
+    A = _symmetric_matrix(H)
+    v = _potential(V, A.shape[0])
+    if base is None:
+        base = _check_resolvent_point(A, lam)
+    t = tau if sign == "+" else -tau
+    shifted = inertia(A + sp.diags(t * v), lam).below
+    value = base - shifted if sign == "+" else shifted - base
+    if value < 0:
+        raise CountingError(
+            f"negative inertia difference {value} at lambda={lam}, tau={tau}: "
+            "impossible for V >= 0, so a count is wrong"
+        )
+    return Count(value, False)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +425,7 @@ def default_lambda_ladder(gap: Gap, sign: str, depth: int = 12) -> np.ndarray:
 
 
 def edge_counting(
-    H: FiniteHamiltonian,
+    H: Matrix,
     V: DecayingPotential | np.ndarray,
     gap: Gap,
     tau: float,
@@ -340,14 +477,16 @@ def asymptotic_table(
     for L in L_list:
         H = assemble_truncated(graph, L)
         V = sample_potential(graph, theta, p, L)
-        X = bs_matrix(H, V, lam)
+        X = bs_matrix(H, V, lam)  # checks lambda against sigma(H_L)
+        base = eigencount_below(H.matrix, lam)
+        # Widest threshold first, so that one partial spectrum serves every tau.
+        cbs = {tau: counting_bs(X, tau, sign) for tau in sorted(tau_list, reverse=True)}
         nbs, ndir, bnd = [], [], []
         for tau in tau_list:
-            cb = counting_bs(X, tau, sign)
-            cd = counting_direct(H, V, lam, tau, sign)
-            nbs.append(cb.value)
+            cd = counting_direct(H, V, lam, tau, sign, base=base)
+            nbs.append(cbs[tau].value)
             ndir.append(cd.value)
-            bnd.append(cb.boundary)
+            bnd.append(cbs[tau].boundary)
         per_L[L] = (nbs, ndir, bnd)
 
     rows = []

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import gapcount.spectral_counts as sc
 from gapcount.floquet import Gap, band_structure, find_gaps
 from gapcount.periodic_graph import (
     FiniteHamiltonian,
     assemble_truncated,
+    dimer_chain,
     sample_potential,
     square_lattice,
     theta_const,
@@ -21,6 +25,7 @@ from gapcount.spectral_counts import (
     default_lambda_ladder,
     edge_counting,
     eigencount_below,
+    inertia,
 )
 
 
@@ -217,3 +222,188 @@ def test_asymptotic_table_rejects_lambda_in_band():
             L_list=(10, 20),
             grid=32,
         )
+
+
+def dense_count(A, x: float) -> int:
+    A = A.toarray() if sp.issparse(A) else np.asarray(A)
+    return int(np.count_nonzero(np.linalg.eigvalsh(A) < x))
+
+
+# ---------------------------------------------------------------------------
+# the sparse LDL^T inertia primitive against a dense eigensolve
+
+
+@pytest.mark.parametrize("L", [1, 2, 8, 24])
+def test_inertia_exact_zero_pivots(L):
+    # square:2, lambda=-1, tau=5: the diagonal of H - 5V + 1 is exactly 0 at
+    # the origin and its 4 neighbours; a minimum-degree LDL^T pivots off the
+    # diagonal there and miscounts, so the primitive must not report it.
+    graph = square_lattice(2)
+    H = assemble_truncated(graph, L)
+    v = sample_potential(graph, theta_const(1.0), 1.0, L).values
+    A = H.matrix - 5.0 * sp.diags(v)
+    res = inertia(A, -1.0)
+    assert res.below == dense_count(A, -1.0)
+    assert res.route != "mmd"
+    # H_L >= 0 has no eigenvalue below -1.
+    assert counting_direct(H, v, -1.0, 5.0, "-").value == res.below
+
+
+def _lattice_matrix(draw) -> np.ndarray:
+    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n = a * b
+    A = np.zeros((n, n))
+    for i in range(a):
+        for j in range(b):
+            k = i * b + j
+            if i + 1 < a:
+                A[k, k + b] = A[k + b, k] = -1.0
+            if j + 1 < b:
+                A[k, k + 1] = A[k + 1, k] = -1.0
+    A[np.diag_indices(n)] = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    return A
+
+
+def _indefinite_matrix(draw) -> np.ndarray:
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = sp.random(n, n, density=draw(st.floats(0.05, 0.5)), random_state=rng).toarray()
+    B = np.round(4.0 * (B - 0.5 * (B != 0)), draw(st.sampled_from([0, 1, 8])))
+    return B + B.T + np.diag(np.round(rng.normal(0.0, 2.0, n)))
+
+
+def _tridiagonal_matrix(draw) -> np.ndarray:
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = rng.standard_normal(n - 1)
+    return np.diag(rng.standard_normal(n)) + np.diag(e, 1) + np.diag(e, -1)
+
+
+@st.composite
+def symmetric_with_shift(draw):
+    kind = draw(st.sampled_from([_indefinite_matrix, _lattice_matrix, _tridiagonal_matrix]))
+    A = kind(draw)
+    # Shifts at a diagonal entry put exact zeros on the diagonal of A - xI.
+    x = draw(st.one_of(st.floats(-10.0, 10.0), st.sampled_from(sorted(set(np.diag(A))))))
+    w = np.linalg.eigvalsh(A)
+    assume(np.min(np.abs(w - x)) >= 1e-8)
+    return A, float(x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(symmetric_with_shift())
+def test_inertia_matches_dense_count(case):
+    A, x = case
+    assert inertia(sp.csr_matrix(A), x).below == dense_count(A, x)
+
+
+# ---------------------------------------------------------------------------
+# the matrix-free partial BS spectrum against the dense formed X
+
+
+def _bs_against_dense(H, v, lam, sign, taus):
+    oracle = bs_matrix(H, v, lam)
+    X = bs_matrix(H, v, lam)
+    assert X.support.size > sc._DENSE_SUPPORT
+    for tau in taus:
+        thr = 1.0 / tau
+        w = oracle.eigenvalues
+        expected = (
+            int(np.count_nonzero(w > thr)) if sign == "+" else int(np.count_nonzero(w < -thr)),
+            bool(np.min(np.abs(w - thr if sign == "+" else w + thr)) <= 1e-10),
+        )
+        assert tuple(counting_bs(X, tau, sign)) == expected
+    assert X._matrix is None  # the dense X was never formed
+    return oracle.eigenvalues
+
+
+def test_bs_partial_spectrum_below_the_spectrum():
+    graph = square_lattice(1)
+    H = assemble_truncated(graph, 300)
+    v = sample_potential(graph, theta_const(1.0), 1.0, 300).values
+    w = _bs_against_dense(H, v, -1.0, "-", (5.0, 40.0, 20.0, 100.0))
+    assert np.count_nonzero(w < -1.0 / 100.0) > 2 * sc._EIGSH_START_K
+    _bs_against_dense(H, v, -1.0, "+", (5.0, 100.0))
+
+
+def test_bs_partial_spectrum_interior_gap_both_signs():
+    graph = dimer_chain()
+    H = assemble_truncated(graph, 150)
+    v = sample_potential(graph, theta_const(1.0), 1.0, 150).values
+    lam = 3.0  # inside the interior gap (2, 4): X is indefinite
+    w = np.linalg.eigvalsh(bs_matrix(H, v, lam).matrix)
+    assert w[0] < -0.1 and w[-1] > 0.1
+    # Thresholds 5e-11 inside an eigenvalue set the boundary flag.
+    neg_edge = 1.0 / (-w[3] - 5e-11)
+    pos_edge = 1.0 / (w[-4] - 5e-11)
+    _bs_against_dense(H, v, lam, "-", (10.0, neg_edge, 60.0))
+    _bs_against_dense(H, v, lam, "+", (10.0, pos_edge, 60.0))
+    assert counting_bs(bs_matrix(H, v, lam), neg_edge, "-") == (4, True)
+    assert counting_bs(bs_matrix(H, v, lam), pos_edge, "+") == (4, True)
+
+
+# ---------------------------------------------------------------------------
+# counting_direct preconditions and matrix inputs
+
+
+def test_counting_direct_rejects_negative_potential():
+    H = wrap(np.diag([1.0, 3.0]))
+    with pytest.raises(CountingError, match="nonnegative"):
+        counting_direct(H, np.array([1.0, -0.5]), 2.0, 1.0, "-")
+
+
+def test_counting_direct_raises_on_negative_difference(monkeypatch):
+    H = wrap(np.diag([1.0, 3.0]))
+    true_inertia = sc.inertia
+
+    def undercount_shifted(A, x):  # wrong only for H - tau V, whose diagonal starts 0.5
+        res = true_inertia(A, x)
+        return res._replace(below=res.below - 1) if A.diagonal()[0] != 1.0 else res
+
+    monkeypatch.setattr(sc, "inertia", undercount_shifted)
+    with pytest.raises(CountingError, match="negative inertia difference"):
+        counting_direct(H, np.array([1.0, 0.0]), 2.0, 0.5, "-")
+
+
+def test_counting_apis_accept_matrices():
+    graph = square_lattice(1)
+    H = assemble_truncated(graph, 60)
+    v = sample_potential(graph, theta_const(1.0), 1.0, 60).values
+    gap = find_gaps(band_structure(graph, 32))[0]
+    want_bs = counting_bs(bs_matrix(H, v, -1.0), 20.0, "-")
+    want_direct = counting_direct(H, v, -1.0, 20.0, "-")
+    want_edge = edge_counting(H, v, gap, 20.0, "-").counts
+    for A in (H.matrix, H.matrix.tocsc(), sp.csr_array(H.matrix), H.matrix.toarray()):
+        assert counting_bs(bs_matrix(A, v, -1.0), 20.0, "-") == want_bs
+        assert counting_direct(A, v, -1.0, 20.0, "-") == want_direct
+        np.testing.assert_array_equal(edge_counting(A, v, gap, 20.0, "-").counts, want_edge)
+        assert eigencount_below(A, -1e-9) == 0
+    assert want_direct.value > 0
+
+
+def test_counting_rejects_nonsymmetric_matrix():
+    A = np.array([[2.0, 1.0], [0.0, 2.0]])
+    with pytest.raises(CountingError, match="symmetric"):
+        counting_direct(A, np.ones(2), -1.0, 1.0, "-")
+    with pytest.raises(CountingError, match="symmetric"):
+        bs_matrix(A, np.ones(2), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# the main asymptotic in d = 2
+
+
+def test_asymptotic_table_square2_large_coupling():
+    table = asymptotic_table(
+        square_lattice(2),
+        theta_const(1.0),
+        p=1.0,
+        lam=-1.0,
+        sign="-",
+        tau_list=(10.0, 20.0, 30.0),
+        L_list=(20, 40, 60),
+        grid=32,
+    )
+    assert all(r.N_bs == r.N_direct for r in table.rows)
+    assert not any("unstabilized" in r.flags for r in table.rows)
+    assert 0.8 <= table.rows[-1].ratio <= 1.2
