@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .parallel import map_ordered
 from .periodic_graph import PeriodicGraph
 
 _CHUNK = 1 << 18
@@ -38,7 +37,6 @@ class BandStructure:
     kpoints: np.ndarray  # (M^d, d)
     bands: np.ndarray  # (M^d, nu) ascending per row
     band_extrema: np.ndarray  # (nu, 2) min/max over the grid
-    eigenvectors: np.ndarray | None = None
 
     @property
     def grid_step(self) -> float:
@@ -123,17 +121,13 @@ def hermitian_eigen(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def band_values(graph: PeriodicGraph, K: np.ndarray) -> np.ndarray:
-    """Sorted band energies E_1..E_nu at each row of K, chunked."""
+    """Sorted band energies E_1..E_nu at each row of K, in blocks of _CHUNK rows."""
     K = np.atleast_2d(np.asarray(K, dtype=float))
-    chunks = [K[i : i + _CHUNK] for i in range(0, K.shape[0], _CHUNK)]
-
-    def run(chunk: np.ndarray) -> np.ndarray:
-        h = _fiber_batch(graph, chunk)
-        if graph.nu == 1:
-            return h[:, 0, 0].real[:, None]
-        return np.linalg.eigvalsh(h)
-
-    return np.concatenate(map_ordered(run, chunks), axis=0)
+    blocks = []
+    for start in range(0, K.shape[0], _CHUNK):
+        h = _fiber_batch(graph, K[start : start + _CHUNK])
+        blocks.append(h[:, 0, 0].real[:, None] if graph.nu == 1 else np.linalg.eigvalsh(h))
+    return np.concatenate(blocks, axis=0)
 
 
 def band_sampler(graph: PeriodicGraph, band_index: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -151,23 +145,25 @@ def band_sampler(graph: PeriodicGraph, band_index: int) -> Callable[[np.ndarray]
 
 def torus_grid(dim: int, M: int) -> np.ndarray:
     """Uniform grid k_m = -pi + 2 pi m / M per axis, C order, (M^d, d)."""
+    return np.concatenate(list(torus_blocks(dim, M)), axis=0)
+
+
+def torus_blocks(dim: int, M: int) -> Iterator[np.ndarray]:
+    """The rows of torus_grid(dim, M) in C-order blocks of at most _CHUNK rows."""
     axis = -math.pi + 2.0 * math.pi * np.arange(M) / M
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    npts = M**dim
+    for start in range(0, npts, _CHUNK):
+        index = np.unravel_index(np.arange(start, min(start + _CHUNK, npts)), (M,) * dim)
+        yield np.stack([axis[i] for i in index], axis=1)
 
 
-def band_structure(graph: PeriodicGraph, M: int, *, vectors: bool = False) -> BandStructure:
+def band_structure(graph: PeriodicGraph, M: int) -> BandStructure:
     if M < 2:
         raise ValueError("grid size must be >= 2")
     K = torus_grid(graph.dim, M)
-    if vectors:
-        h = _fiber_batch(graph, K)
-        bands, vecs = np.linalg.eigh(h)
-    else:
-        bands = band_values(graph, K)
-        vecs = None
+    bands = band_values(graph, K)
     extrema = np.stack([bands.min(axis=0), bands.max(axis=0)], axis=1)
-    return BandStructure(graph, M, K, bands, extrema, vecs)
+    return BandStructure(graph, M, K, bands, extrema)
 
 
 def find_gaps(bands: BandStructure) -> list[Gap]:

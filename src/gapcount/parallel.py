@@ -1,35 +1,19 @@
-"""Deterministic helpers for data-parallel grid sweeps.
+"""An ordered map, kept only under the name the benchmark tracer targets.
 
-Worker count is capped by the GAPCOUNT_THREADS environment variable.
-Results are always collected in input order, so output is identical
-regardless of the number of workers.
+`perfbench/spans.py` lists `parallel.map_ordered` among its traced
+functions, and its tests require every target to exist. Nothing in
+gapcount calls it: band sampling evaluates its blocks in a plain loop.
+Delete this module together with that benchmark target.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def worker_count() -> int:
-    env = os.environ.get("GAPCOUNT_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 1
-        return max(1, n)
-    return os.cpu_count() or 1
-
-
 def map_ordered(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Apply fn to items, preserving input order in the result."""
-    workers = min(worker_count(), len(items)) if items else 1
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Apply fn to items, in input order, on the calling thread."""
+    return [fn(x) for x in items]

@@ -129,9 +129,6 @@ class SingularValueReport:
     svalues: WeightedSequence
     L: int
     M: int
-    cwikel_ratio: float | None = None
-    dp_empirical: DpWindowEstimate | None = None
-    formula_value: float | None = None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from collections import defaultdict
 from pathlib import Path
 from typing import Callable
 
@@ -176,9 +176,6 @@ class DecayingPotential:
     L: int
     values: np.ndarray  # (nsites,) nonnegative
 
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.values > 0.0)
-
 
 # ---------------------------------------------------------------------------
 # operations
@@ -232,44 +229,52 @@ def build_graph(spec: GraphSpec) -> PeriodicGraph:
         raise GraphError("graph has an isolated vertex")
 
     graph = PeriodicGraph(spec.dim, nu, offsets, edges, degrees, Q)
-    _check_patch_connectivity(graph)
+    _check_connectivity(graph)
     return graph
 
 
-def _check_patch_connectivity(graph: PeriodicGraph) -> None:
-    """Connectivity of the induced subgraph on the 3^d-cell patch."""
-    d = graph.dim
-    cells = list(product((-1, 0, 1), repeat=d))
-    index = {
-        (c, j): i * graph.nu + (j - 1)
-        for i, c in enumerate(cells)
-        for j in range(1, graph.nu + 1)
-    }
+def _check_connectivity(graph: PeriodicGraph) -> None:
+    """Connectivity of the infinite graph (Sunada, Topological Crystallography).
 
-    def idx(c, j):
-        return index[(c, j)]
-
-    n = len(cells) * graph.nu
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for c in cells:
-        for e in graph.edges:
-            c2 = tuple(a + b for a, b in zip(c, e.cell))
-            if (c2, e.jp) in index:
-                a, b = idx(c, e.j), idx(c2, e.jp)
-                adj[a].append(b)
-                adj[b].append(a)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
+    The infinite graph is connected iff the quotient graph on the nu cell
+    vertices is connected and the net cell vectors of its cycles generate
+    Z^d. A spanning-tree potential t puts vertex j in cell t[j]; each edge
+    (j, j', n) then closes a cycle with net cell vector t[j] + n - t[j'].
+    """
+    adj: dict[int, list[tuple[int, tuple[int, ...]]]] = defaultdict(list)
+    for e in graph.edges:
+        adj[e.j].append((e.jp, e.cell))
+        adj[e.jp].append((e.j, tuple(-c for c in e.cell)))
+    t = {1: (0,) * graph.dim}
+    stack = [1]
     while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    if not all(seen):
-        missing = seen.count(False)
-        raise GraphError(f"graph patch is disconnected ({missing} of {n} patch sites unreachable)")
+        j = stack.pop()
+        for jp, n in adj[j]:
+            if jp not in t:
+                t[jp] = tuple(a + b for a, b in zip(t[j], n))
+                stack.append(jp)
+    if len(t) < graph.nu:
+        raise GraphError(f"graph is disconnected ({graph.nu - len(t)} of {graph.nu} cell vertices unreachable)")
+    cycles = [[a + b - c for a, b, c in zip(t[e.j], e.cell, t[e.jp])] for e in graph.edges]
+    if not _generates_lattice(cycles, graph.dim):
+        raise GraphError("graph is disconnected: the cell vectors of its cycles do not generate Z^d")
+
+
+def _generates_lattice(rows: list[list[int]], d: int) -> bool:
+    """Whether integer vectors generate Z^d: Hermite reduction, every pivot +-1."""
+    for col in range(d):
+        live = [r for r in rows if r[col] != 0]
+        while len(live) > 1:  # Euclid on the column, by unimodular row operations
+            pivot = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not pivot:
+                    q = r[col] // pivot[col]
+                    r[:] = [a - q * b for a, b in zip(r, pivot)]
+            live = [r for r in live if r[col] != 0]
+        if not live or abs(live[0][col]) != 1:
+            return False
+        rows = [r for r in rows if r[col] == 0]
+    return True
 
 
 def box_cells(dim: int, L: int) -> np.ndarray:

@@ -63,6 +63,22 @@ def test_disconnected_patch_rejected():
         build_graph(spec)
 
 
+def test_connectivity_of_the_infinite_graph():
+    vertex = (VertexSpec(1, (0.0,)),)
+    # steps 2 and 3 reach every cell, though no single edge reaches the next one
+    g = build_graph(GraphSpec(1, vertex, (EdgeSpec(1, 1, (2,)), EdgeSpec(1, 1, (3,)))))
+    assert g.degrees.tolist() == [4]
+    with pytest.raises(GraphError, match="disconnected"):
+        build_graph(GraphSpec(1, vertex, (EdgeSpec(1, 1, (2,)),)))
+    # the cycles of this 2-D graph span only Z x 2Z: vertex 1 sits in the
+    # cells of even height, vertex 2 in those of odd height, and vice versa
+    two = (VertexSpec(1, (0.0, 0.0)), VertexSpec(2, (0.5, 0.5)))
+    edges = (EdgeSpec(1, 2, (0, 1)), EdgeSpec(2, 1, (0, 1)), EdgeSpec(1, 1, (1, 0)))
+    with pytest.raises(GraphError, match="disconnected"):
+        build_graph(GraphSpec(2, two, edges))
+    build_graph(GraphSpec(2, two, edges + (EdgeSpec(2, 2, (0, 1)),)))
+
+
 def test_edge_reversal_canonicalization():
     spec = GraphSpec(
         1,
