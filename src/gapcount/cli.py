@@ -135,9 +135,10 @@ def _cmd_gamma(args) -> int:
             format_real(float(res.torus_integrals.sum())),
             format_real(res.sphere_integral),
             str(res.grids[-1]),
+            format_real(res.error),
         ]
     )
-    _emit("lambda,p,sign,gamma,torus_sum,sphere,grid\n" + line + "\n", args.out)
+    _emit("lambda,p,sign,gamma,torus_sum,sphere,grid,error\n" + line + "\n", args.out)
     return 0
 
 

@@ -1,10 +1,19 @@
 """Fiber matrices h(k), band structure, gaps and edge regularity.
 
 The Floquet fiber of the periodic operator is the nu x nu Hermitian
-matrix h(k), assembled from the canonical edge list:
+matrix h(k), assembled from the canonical edge list and one phase
+z_e = e^{i k.n} per edge (j, j', n):
 
-    h(k)_{jj}  = degree(j) + Q(j) - sum over self-orbit edges 2 cos(k.n)
-    h(k)_{jj'} -= e^{i k.n}   for each stored edge (j, j', n), j != j'
+    h(k)_{jj}  = degree(j) + Q(j) - sum over self-orbit edges 2 Re z_e
+    h(k)_{jj'} -= z_e   for each stored edge (j, j', n), j != j'
+
+`_assemble` is the one place that does this. At scattered quasimomenta
+(`fiber_matrix`, `band_values`) the phases are e^{i K.n}. On the uniform
+M^d torus grid, `torus_bands` never forms k-points: e^{i k.n} is the
+product over axes of the tables e^{i n_a k_a}, each of length M, so a
+block's phase is a broadcast product of table slices. Blocks follow the
+C order of `torus_grid`: whole trailing axes, a run of the next axis,
+and fixed indices on the leading axes, never more than _CHUNK points.
 """
 
 from __future__ import annotations
@@ -85,27 +94,36 @@ def fiber_matrix(graph: PeriodicGraph, k: Sequence[float]) -> FiberMatrix:
     k = np.asarray(k, dtype=float)
     if k.shape != (graph.dim,):
         raise ValueError("quasimomentum has wrong dimension")
-    h = _fiber_batch(graph, k[None, :])[0]
-    return FiberMatrix(k, h)
+    return FiberMatrix(k, _assemble(graph, _phases(graph, k), ()))
 
 
-def _fiber_batch(graph: PeriodicGraph, K: np.ndarray) -> np.ndarray:
-    """Assemble h(k) for a batch of quasimomenta K of shape (npts, d)."""
-    npts = K.shape[0]
+def _phases(graph: PeriodicGraph, K: np.ndarray) -> list[np.ndarray]:
+    """e^{i K.n} per edge at scattered quasimomenta K of shape (..., d)."""
+    return [np.exp(1j * (K @ np.asarray(e.cell, dtype=float))) for e in graph.edges]
+
+
+def _assemble(graph: PeriodicGraph, phases: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """h(k) over a batch of the given shape, from one phase array per edge broadcastable to it."""
     nu = graph.nu
-    h = np.zeros((npts, nu, nu), dtype=complex)
+    h = np.zeros(shape + (nu, nu), dtype=complex)
     diag = graph.degrees + graph.Q
     for j in range(nu):
-        h[:, j, j] = diag[j]
-    for e in graph.edges:
-        phase = K @ np.asarray(e.cell, dtype=float)
+        h[..., j, j] = diag[j]
+    for e, z in zip(graph.edges, phases):
         if e.j == e.jp:
-            h[:, e.j - 1, e.j - 1] -= 2.0 * e.mult * np.cos(phase)
+            h[..., e.j - 1, e.j - 1] -= 2.0 * e.mult * z.real
         else:
-            w = e.mult * np.exp(1j * phase)
-            h[:, e.j - 1, e.jp - 1] -= w
-            h[:, e.jp - 1, e.j - 1] -= np.conj(w)
+            w = e.mult * z
+            h[..., e.j - 1, e.jp - 1] -= w
+            h[..., e.jp - 1, e.j - 1] -= np.conj(w)
     return h
+
+
+def _eigvals(h: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of a batch of fibers, one row per point in C order."""
+    nu = h.shape[-1]
+    h = h.reshape(-1, nu, nu)
+    return h[:, 0, 0].real[:, None] if nu == 1 else np.linalg.eigvalsh(h)
 
 
 def hermitian_eigen(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,8 +143,8 @@ def band_values(graph: PeriodicGraph, K: np.ndarray) -> np.ndarray:
     K = np.atleast_2d(np.asarray(K, dtype=float))
     blocks = []
     for start in range(0, K.shape[0], _CHUNK):
-        h = _fiber_batch(graph, K[start : start + _CHUNK])
-        blocks.append(h[:, 0, 0].real[:, None] if graph.nu == 1 else np.linalg.eigvalsh(h))
+        Kb = K[start : start + _CHUNK]
+        blocks.append(_eigvals(_assemble(graph, _phases(graph, Kb), (Kb.shape[0],))))
     return np.concatenate(blocks, axis=0)
 
 
@@ -143,27 +161,51 @@ def band_sampler(graph: PeriodicGraph, band_index: int) -> Callable[[np.ndarray]
 # grid sweeps
 
 
+def _torus_axis(M: int) -> np.ndarray:
+    return -math.pi + 2.0 * math.pi * np.arange(M) / M
+
+
 def torus_grid(dim: int, M: int) -> np.ndarray:
     """Uniform grid k_m = -pi + 2 pi m / M per axis, C order, (M^d, d)."""
-    return np.concatenate(list(torus_blocks(dim, M)), axis=0)
+    mesh = np.meshgrid(*(_torus_axis(M),) * dim, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def torus_blocks(dim: int, M: int) -> Iterator[np.ndarray]:
-    """The rows of torus_grid(dim, M) in C-order blocks of at most _CHUNK rows."""
-    axis = -math.pi + 2.0 * math.pi * np.arange(M) / M
-    npts = M**dim
-    for start in range(0, npts, _CHUNK):
-        index = np.unravel_index(np.arange(start, min(start + _CHUNK, npts)), (M,) * dim)
-        yield np.stack([axis[i] for i in index], axis=1)
+def _grid_blocks(dim: int, M: int) -> Iterator[tuple[range, ...]]:
+    """Per-axis index ranges of the C-order blocks of the M^dim grid, each of at most _CHUNK points.
+
+    A block holds the last `whole` axes entirely, a run of the axis before
+    them, and one index on each axis before that.
+    """
+    whole = 0
+    while whole < dim - 1 and M ** (whole + 1) <= _CHUNK:
+        whole += 1
+    run = min(M, _CHUNK // M**whole)
+    for lead in np.ndindex(*(M,) * (dim - 1 - whole)):
+        for start in range(0, M, run):
+            yield tuple(range(i, i + 1) for i in lead) + (range(start, min(start + run, M)),) + (range(M),) * whole
+
+
+def torus_bands(graph: PeriodicGraph, M: int) -> Iterator[np.ndarray]:
+    """Sorted band energies at the rows of torus_grid(graph.dim, M), in C-order blocks.
+
+    Each edge phase e^{i k.n} is the broadcast product of the per-axis
+    tables e^{i n_a k_a} indexed by the block, so no block forms k-points.
+    """
+    axis = _torus_axis(M)
+    tables = [[(a, np.exp(1j * (n * axis))) for a, n in enumerate(e.cell) if n] for e in graph.edges]
+    for block in _grid_blocks(graph.dim, M):
+        ix = np.ix_(*block)
+        phases = [math.prod((t[ix[a]] for a, t in edge), start=1.0 + 0j) for edge in tables]
+        yield _eigvals(_assemble(graph, phases, tuple(map(len, block))))
 
 
 def band_structure(graph: PeriodicGraph, M: int) -> BandStructure:
     if M < 2:
         raise ValueError("grid size must be >= 2")
-    K = torus_grid(graph.dim, M)
-    bands = band_values(graph, K)
+    bands = np.concatenate(list(torus_bands(graph, M)), axis=0)
     extrema = np.stack([bands.min(axis=0), bands.max(axis=0)], axis=1)
-    return BandStructure(graph, M, K, bands, extrema)
+    return BandStructure(graph, M, torus_grid(graph.dim, M), bands, extrema)
 
 
 def find_gaps(bands: BandStructure) -> list[Gap]:

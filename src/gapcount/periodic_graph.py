@@ -107,9 +107,6 @@ class FiniteHamiltonian:
     def nsites(self) -> int:
         return self.matrix.shape[0]
 
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
 
 # ---------------------------------------------------------------------------
 # angular profiles

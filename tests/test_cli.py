@@ -38,6 +38,17 @@ def test_gamma_closed_form(chain_json, capsys):
     assert gamma == pytest.approx(2.0 / math.sqrt(5.0), abs=1e-9)
 
 
+def test_gamma_prints_its_error_estimate(chain_json, capsys):
+    code = main(
+        ["gamma", "--graph", chain_json, "--lambda", "-1", "--p", "1", "--sign", "minus", "--theta", "const:1"]
+    )
+    assert code == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    assert header.split(",") == ["lambda", "p", "sign", "gamma", "torus_sum", "sphere", "grid", "error"]
+    error = float(row.split(",")[-1])
+    assert 0.0 <= error < 1e-9
+
+
 def test_missing_graph_is_usage_error():
     assert main(["bands", "--grid", "8"]) == 2
 

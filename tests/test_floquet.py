@@ -1,12 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gapcount.floquet as floquet
 from gapcount.floquet import (
     EigenError,
     GapEdge,
     band_structure,
+    band_values,
     bands_to_csv,
     check_edge_regularity,
     check_gap_edge_regularity,
@@ -14,9 +19,18 @@ from gapcount.floquet import (
     find_gaps,
     gap_edge,
     hermitian_eigen,
+    torus_bands,
     torus_grid,
 )
-from gapcount.periodic_graph import assemble_truncated, dimer_chain, square_lattice
+from gapcount.periodic_graph import (
+    EdgeSpec,
+    GraphSpec,
+    VertexSpec,
+    assemble_truncated,
+    build_graph,
+    dimer_chain,
+    square_lattice,
+)
 
 
 def test_fiber_chain_endpoints():
@@ -94,7 +108,7 @@ def test_touching_bands_give_no_interior_gap():
 def test_truncation_spectrum_within_band_range():
     g = dimer_chain()
     bands = band_structure(g, 128)
-    w = np.linalg.eigvalsh(assemble_truncated(g, 6).dense())
+    w = np.linalg.eigvalsh(assemble_truncated(g, 6).matrix.toarray())
     assert w.min() >= bands.bands.min() - 1e-10
     assert w.max() <= bands.bands.max() + 1e-10
 
@@ -141,3 +155,80 @@ def test_bands_to_csv_schema():
     assert lines[0] == "k_1,E_1"
     assert len(lines) == 9
     assert len(lines[1].split(",")) == 2
+
+
+# ---------------------------------------------------------------------------
+# the tensor-product torus sweep against the scattered-K path
+
+
+@pytest.mark.parametrize(
+    "graph, M",
+    [(square_lattice(1), 250), (square_lattice(2), 12), (square_lattice(3), 12), (dimer_chain(), 250)],
+    ids=["square1", "square2", "square3", "dimer"],
+)
+def test_torus_bands_bitwise_equal_to_scattered_path(graph, M, monkeypatch):
+    # Every cell has one nonzero component, so each phase is a single table
+    # entry. With 100-point blocks, d = 3 at M = 12 (M^2 = 144) cuts inside a slab.
+    monkeypatch.setattr(floquet, "_CHUNK", 100)
+    blocks = list(torus_bands(graph, M))
+    assert len(blocks) > 1 and max(b.shape[0] for b in blocks) <= 100
+    np.testing.assert_array_equal(np.concatenate(blocks), band_values(graph, torus_grid(graph.dim, M)))
+
+
+def diagonal_two_vertex_graph():
+    """d = 2, two vertices joined across cells (1, 1), (1, -1) and (0, 0), with self-orbits and Q."""
+    vertices = (VertexSpec(1, (0.0, 0.0), 0.3), VertexSpec(2, (0.5, 0.5), -0.7))
+    edges = (
+        EdgeSpec(1, 2, (1, 1)),
+        EdgeSpec(1, 2, (1, -1)),
+        EdgeSpec(1, 2, (0, 0)),
+        EdgeSpec(2, 2, (1, 1)),
+        EdgeSpec(1, 1, (1, 0)),
+    )
+    return build_graph(GraphSpec(2, vertices, edges))
+
+
+def test_torus_bands_multi_component_cells_within_rounding(monkeypatch):
+    graph = diagonal_two_vertex_graph()
+    monkeypatch.setattr(floquet, "_CHUNK", 100)
+    sweep = np.concatenate(list(torus_bands(graph, 12)))
+    scattered = band_values(graph, torus_grid(2, 12))
+    assert np.abs(sweep - scattered).max() <= 1e-13 * np.abs(scattered).max()
+
+
+@st.composite
+def periodic_graphs(draw):
+    """Connected periodic graphs with nu <= 3, d <= 2 and cells in {-1, 0, 1}^d."""
+    d = draw(st.integers(1, 2))
+    nu = draw(st.integers(1, 3))
+    cells = st.tuples(*[st.integers(-1, 1)] * d)
+    vertex = st.integers(1, nu)
+    vertices = tuple(VertexSpec(j, (0.0,) * d, draw(st.floats(-2.0, 2.0))) for j in range(1, nu + 1))
+    edges = [EdgeSpec(j, j + 1, draw(cells)) for j in range(1, nu)]
+    for a in range(d):
+        # two edges u -> v whose cells differ by e_a close a cycle of cell vector e_a
+        u, v, c = draw(vertex), draw(vertex), list(draw(cells))
+        c[a] = draw(st.integers(-1, 0))
+        edges.append(EdgeSpec(u, v, tuple(c)))
+        c[a] += 1
+        edges.append(EdgeSpec(u, v, tuple(c)))
+    edges += [EdgeSpec(draw(vertex), draw(vertex), draw(cells)) for _ in range(draw(st.integers(0, 3)))]
+    return build_graph(GraphSpec(d, vertices, tuple(edges)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=periodic_graphs(), data=st.data())
+def test_random_graph_fiber_and_sweep(graph, data):
+    k = np.array(data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=graph.dim, max_size=graph.dim)))
+    h = fiber_matrix(graph, k).entries
+    np.testing.assert_array_equal(h, h.conj().T)
+    scale = max(1.0, float(np.abs(h).sum()))
+    assert abs(band_values(graph, k).sum() - np.trace(h).real) <= 1e-12 * scale
+
+    M = data.draw(st.integers(2, 7))
+    chunk = data.draw(st.integers(1, M**graph.dim))
+    with mock.patch.object(floquet, "_CHUNK", chunk):
+        sweep = np.concatenate(list(torus_bands(graph, M)))
+        scattered = band_values(graph, torus_grid(graph.dim, M))
+    assert sweep.shape == (M**graph.dim, graph.nu)
+    assert np.abs(sweep - scattered).max() <= 1e-12 * max(1.0, float(np.abs(scattered).max()))

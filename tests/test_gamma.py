@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import gapcount.floquet as floquet
-from gapcount.floquet import band_structure, find_gaps, gap_edge, torus_blocks, torus_grid
+from gapcount.floquet import band_structure, band_values, find_gaps, gap_edge, torus_bands, torus_grid
 from gapcount.gamma import (
     GammaError,
     _band_power_sums,
@@ -152,9 +152,10 @@ def test_streamed_sweep_matches_full_grid(monkeypatch):
     graph = square_lattice(3)
     default = _band_power_sums(graph, -0.5, 1.5, "-", 12)
     monkeypatch.setattr(floquet, "_CHUNK", 100)
-    blocks = list(torus_blocks(3, 12))
-    assert len(blocks) == 18 and max(b.shape[0] for b in blocks) == 100
-    np.testing.assert_array_equal(np.concatenate(blocks), torus_grid(3, 12))
+    blocks = list(torus_bands(graph, 12))
+    # 12^2 > 100, so a block is a run of 8 rows of the middle axis (or the last 4) at one first index
+    assert len(blocks) == 24 and max(b.shape[0] for b in blocks) == 96
+    np.testing.assert_array_equal(np.concatenate(blocks), band_values(graph, torus_grid(3, 12)))
     axis = -math.pi + 2.0 * math.pi * np.arange(12) / 12
     mesh = np.meshgrid(axis, axis, axis, indexing="ij")
     np.testing.assert_array_equal(torus_grid(3, 12), np.stack([m.ravel() for m in mesh], axis=1))

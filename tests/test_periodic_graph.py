@@ -109,16 +109,16 @@ def test_truncated_chain_matrix():
     g = square_lattice(1)
     H = assemble_truncated(g, 1)
     expect = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-    np.testing.assert_array_equal(H.dense(), expect)
+    np.testing.assert_array_equal(H.matrix.toarray(), expect)
 
 
 def test_truncated_single_site_keeps_full_degree():
     H = assemble_truncated(square_lattice(1), 0)
-    np.testing.assert_array_equal(H.dense(), [[2.0]])
+    np.testing.assert_array_equal(H.matrix.toarray(), [[2.0]])
 
 
 def test_truncated_symmetry_bitwise():
-    H = assemble_truncated(dimer_chain(), 2).dense()
+    H = assemble_truncated(dimer_chain(), 2).matrix.toarray()
     assert np.array_equal(H, H.T)
 
 
