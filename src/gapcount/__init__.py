@@ -40,7 +40,6 @@ from .pdo_lab import (
     tabulated_symbol,
 )
 from .periodic_graph import (
-    DecayingPotential,
     FiniteHamiltonian,
     GraphError,
     GraphSpec,

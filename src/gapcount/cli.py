@@ -172,7 +172,7 @@ def _cmd_count(args) -> int:
     V = sample_potential(graph, theta, args.p, args.L)
     X = bs_matrix(H, V, args.lam)
     cb = counting_bs(X, args.tau, sign)
-    cd = counting_direct(H, V, args.lam, args.tau, sign)
+    cd = counting_direct(H, V, args.lam, args.tau, sign, base=X.below)
     flags = ["boundary"] if cb.boundary else []
     header = "lambda,tau,L,N_bs,N_direct,flags\n"
     line = ",".join(

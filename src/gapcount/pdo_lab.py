@@ -17,7 +17,7 @@ import numpy as np
 
 from .floquet import torus_grid
 from .gamma import sphere_integral
-from .periodic_graph import box_cells
+from .periodic_graph import box_cells, box_index, box_shift
 from .weak_lp import DpWindowEstimate, WeightedSequence, dp_window, weak_quasinorm
 
 _SV_TOL = 1e-13
@@ -131,6 +131,11 @@ class SingularValueReport:
     M: int
 
 
+def _nonzero(sv: np.ndarray) -> np.ndarray:
+    """Descending singular values above _SV_TOL relative to the largest."""
+    return sv[sv > _SV_TOL * max(sv[0], 1e-300)] if sv.size else sv
+
+
 # ---------------------------------------------------------------------------
 # Fourier plumbing
 
@@ -180,8 +185,7 @@ def pdo_singular_values(triple: SymbolTriple) -> SingularValueReport:
     root = (U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
     core = root @ AtA @ root
     ev = np.clip(np.linalg.eigvalsh(core), 0.0, None)
-    sv = np.sqrt(ev)[::-1]
-    sv = sv[sv > _SV_TOL * max(sv[0], 1e-300)] if sv.size else sv
+    sv = _nonzero(np.sqrt(ev)[::-1])
     return SingularValueReport(WeightedSequence(sv), W.L, triple.M)
 
 
@@ -191,9 +195,7 @@ def fphiw_singular_values(f: TorusFunction, W: LatticeSymbol, M: int) -> Weighte
     cf = fourier_modsq_coeffs(f, M, max_lag, W.dim)
     G = np.conj(W.values)[:, None] * _coeff_matrix(cf, W.points, max_lag) * W.values[None, :]
     ev = np.clip(np.linalg.eigvalsh(G), 0.0, None)
-    sv = np.sqrt(ev)[::-1]
-    sv = sv[sv > _SV_TOL * max(sv[0], 1e-300)] if sv.size else sv
-    return WeightedSequence(sv)
+    return WeightedSequence(_nonzero(np.sqrt(ev)[::-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -294,26 +296,17 @@ def commutator_decay(
     if W.L != L:
         raise PdoError("symbol truncation radius does not match L")
     d = W.dim
-    pts = box_cells(d, L)
-    wfull = np.zeros(pts.shape[0], dtype=complex)
-    side = 2 * L + 1
-    strides = side ** np.arange(d - 1, -1, -1)
-    flat = (W.points + L) @ strides
-    wfull[flat] = W.values
-    n = pts.shape[0]
+    n = (2 * L + 1) ** d
+    wfull = np.zeros(n, dtype=complex)
+    wfull[box_index(W.points, L)] = W.values
     Kmat = np.zeros((n, n), dtype=complex)
     for t, c in f_coeffs.items():
         tv = np.atleast_1d(np.asarray(t, dtype=int))
         if tv.shape != (d,):
             raise PdoError("lag vector has wrong dimension")
         # pairs with n_i - n_j = -t, i.e. n_j = n_i + t
-        target = pts + tv
-        inside = np.all(np.abs(target) <= L, axis=1)
-        i = np.flatnonzero(inside)
-        j = (target[inside] + L) @ strides
+        i, j = box_shift(d, L, tv)
         Kmat[i, j] += c * (wfull[j] - wfull[i])
-    sv = np.linalg.svd(Kmat, compute_uv=False)
-    sv = sv[sv > _SV_TOL * max(sv[0], 1e-300)] if sv.size else sv
-    seq = WeightedSequence(sv)
+    seq = WeightedSequence(_nonzero(np.linalg.svd(Kmat, compute_uv=False)))
     m = np.arange(1, len(seq) + 1, dtype=float)
     return CommutatorReport(seq, seq.values * m ** (1.0 / p))

@@ -5,13 +5,19 @@ periodic on-site potential Q) and a list of translated edges
 (j, j', n) identifying vertex x_j with x_{j'} + n.  The combinatorial
 Laplacian convention: loops with n = 0 drop out entirely; a self-orbit
 edge (j, j, n), n != 0, contributes 2 to degree(j).
+
+The box |n|_inf <= L is ordered here and nowhere else: `box_cells` lists
+its cells lexicographically, `box_index` maps cells to their rows in that
+list, and `box_shift` pairs the rows of cells a fixed shift apart.  Site
+x_j + n of a truncated Hamiltonian or a sampled potential has index
+(cell row) * nu + j - 1; `box_sites` gives the cells and positions of the
+sites in that order.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections import defaultdict
 from pathlib import Path
 from typing import Callable
@@ -96,11 +102,8 @@ class PeriodicGraph:
 class FiniteHamiltonian:
     """Compression of H to the box |n|_inf <= L (full degrees kept)."""
 
-    graph: PeriodicGraph
-    L: int
     matrix: sp.csr_matrix
     cells: np.ndarray  # (nsites, dim) integer translations
-    vertex_ids: np.ndarray  # (nsites,) values in 1..nu
     positions: np.ndarray  # (nsites, dim) embedded x_j + n
 
     @property
@@ -162,16 +165,6 @@ def parse_theta(spec: str) -> ThetaProfile:
     if spec.startswith("table:"):
         return theta_table(spec.split(":", 1)[1])
     raise GraphError(f"unknown theta preset {spec!r}")
-
-
-@dataclass(frozen=True)
-class DecayingPotential:
-    """Sampled V(x_j + n) on a box, aligned with FiniteHamiltonian sites."""
-
-    p: float
-    theta: ThetaProfile | None
-    L: int
-    values: np.ndarray  # (nsites,) nonnegative
 
 
 # ---------------------------------------------------------------------------
@@ -281,35 +274,41 @@ def box_cells(dim: int, L: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def box_index(cells: np.ndarray, L: int) -> np.ndarray:
+    """Row in `box_cells(dim, L)` of each cell, a row of `cells` inside the box."""
+    strides = (2 * L + 1) ** np.arange(cells.shape[1] - 1, -1, -1)
+    return (cells + L) @ strides
+
+
+def box_shift(dim: int, L: int, shift) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (a, b) of `box_cells(dim, L)` with cell_b = cell_a + shift, both in the box."""
+    target = box_cells(dim, L) + np.asarray(shift, dtype=int)
+    inside = np.all(np.abs(target) <= L, axis=1)
+    return np.flatnonzero(inside), box_index(target[inside], L)
+
+
+def box_sites(graph: PeriodicGraph, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells n and positions x_j + n of the box sites; site = cell row * nu + j - 1."""
+    if L < 0:
+        raise GraphError("truncation radius must be >= 0")
+    box = box_cells(graph.dim, L)
+    cells = np.repeat(box, graph.nu, axis=0)
+    return cells, np.tile(graph.offsets, (box.shape[0], 1)) + cells
+
+
 def assemble_truncated(graph: PeriodicGraph, L: int) -> FiniteHamiltonian:
     """Compression E H E to the box |n|_inf <= L.
 
     Full-graph degrees stay on the diagonal; couplings leaving the box
     are dropped.
     """
-    if L < 0:
-        raise GraphError("truncation radius must be >= 0")
-    d, nu = graph.dim, graph.nu
-    cells = box_cells(d, L)
-    ncells = cells.shape[0]
-    nsites = ncells * nu
-    side = 2 * L + 1
-    strides = side ** np.arange(d - 1, -1, -1)
-
-    def cell_flat(c: np.ndarray) -> np.ndarray:
-        return (c + L) @ strides
-
-    diag = np.tile(graph.degrees + graph.Q, ncells).reshape(ncells, nu)
-    # site index = cell_flat * nu + (j - 1)
+    cells, positions = box_sites(graph, L)
+    nu, nsites = graph.nu, cells.shape[0]
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     for e in graph.edges:
-        shift = np.asarray(e.cell, dtype=int)
-        target = cells + shift
-        inside = np.all(np.abs(target) <= L, axis=1)
-        src = np.flatnonzero(inside)
-        dst = cell_flat(target[inside])
+        src, dst = box_shift(graph.dim, L, e.cell)
         a = src * nu + (e.j - 1)
         b = dst * nu + (e.jp - 1)
         w = np.full(a.shape, -float(e.mult))
@@ -318,24 +317,20 @@ def assemble_truncated(graph: PeriodicGraph, L: int) -> FiniteHamiltonian:
         vals.extend((w, w))
     rows.append(np.arange(nsites))
     cols.append(np.arange(nsites))
-    vals.append(diag.ravel())
+    vals.append(np.tile(graph.degrees + graph.Q, nsites // nu))
     mat = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nsites, nsites),
     )
     mat.sum_duplicates()
-    cell_arr = np.repeat(cells, nu, axis=0)
-    vid = np.tile(np.arange(1, nu + 1), ncells)
-    positions = graph.offsets[vid - 1] + cell_arr
-    return FiniteHamiltonian(graph, L, mat, cell_arr, vid, positions)
+    return FiniteHamiltonian(mat, cells, positions)
 
 
-def sample_potential(graph: PeriodicGraph, theta: ThetaProfile, p: float, L: int) -> DecayingPotential:
-    """V(x) = |x|^{-d/p} theta(x/|x|) for |x| >= 1, capped at sup theta inside."""
+def sample_potential(graph: PeriodicGraph, theta: ThetaProfile, p: float, L: int) -> np.ndarray:
+    """V(x) = |x|^{-d/p} theta(x/|x|) at the box sites for |x| >= 1, capped at sup theta inside."""
     if p <= 0:
         raise GraphError("p must be positive")
-    H = assemble_truncated(graph, L)
-    pos = H.positions
+    _, pos = box_sites(graph, L)
     r = np.linalg.norm(pos, axis=1)
     values = np.full(pos.shape[0], theta.sup, dtype=float)
     far = r >= 1.0
@@ -347,18 +342,18 @@ def sample_potential(graph: PeriodicGraph, theta: ThetaProfile, p: float, L: int
         values[far] = r[far] ** (-graph.dim / p) * tv
     if theta.sup < 0.0:
         raise GraphError("theta takes negative values; potential must satisfy V >= 0")
-    return DecayingPotential(p, theta, L, values)
+    return values
 
 
-def potential_from_function(graph: PeriodicGraph, fn: Callable[[np.ndarray], np.ndarray], L: int) -> DecayingPotential:
-    """Tabulate an arbitrary nonnegative potential fn(position rows) on the box."""
-    H = assemble_truncated(graph, L)
-    values = np.asarray(fn(H.positions), dtype=float)
-    if values.shape != (H.positions.shape[0],):
+def potential_from_function(graph: PeriodicGraph, fn: Callable[[np.ndarray], np.ndarray], L: int) -> np.ndarray:
+    """Tabulate an arbitrary nonnegative potential fn(position rows) at the box sites."""
+    _, pos = box_sites(graph, L)
+    values = np.asarray(fn(pos), dtype=float)
+    if values.shape != (pos.shape[0],):
         raise GraphError("potential function must return one value per site")
     if values.min() < 0.0:
         raise GraphError("potential must be nonnegative")
-    return DecayingPotential(math.nan, None, L, values)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ Two independent routes, neither of which forms a dense n x n array:
   retried in natural order, then replaced by a dense eigensolve.
 
 Every counting function takes H_L either as a FiniteHamiltonian or as a
-symmetric matrix, sparse or dense.
+symmetric matrix, sparse or dense, and V as a float array of site values.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 from .floquet import BandStructure, Gap, band_structure, find_gaps, format_real
 from .gamma import GammaResult, gamma_coefficient
 from .periodic_graph import (
-    DecayingPotential,
     FiniteHamiltonian,
     PeriodicGraph,
     ThetaProfile,
@@ -140,8 +139,8 @@ def _symmetric_matrix(H: Matrix) -> sp.csc_matrix:
     return A
 
 
-def _potential(V: DecayingPotential | np.ndarray, nsites: int) -> np.ndarray:
-    v = V.values if isinstance(V, DecayingPotential) else np.asarray(V, dtype=float)
+def _potential(V: np.ndarray, nsites: int) -> np.ndarray:
+    v = np.asarray(V, dtype=float)
     if v.shape != (nsites,):
         raise CountingError("potential not sampled on the same box as H_L")
     if v.size and v.min() < 0.0:
@@ -236,6 +235,7 @@ class BSMatrix:
     support: np.ndarray  # site indices with V > 0
     sqrtv: np.ndarray  # V^{1/2} on the support
     nsites: int
+    below: int  # eigenvalues of H_L below lambda
     _lu: object | None = field(default=None, repr=False)
     _matrix: np.ndarray | None = field(default=None, repr=False)
     _eigenvalues: np.ndarray | None = field(default=None, repr=False)
@@ -337,14 +337,14 @@ def _tail_rank(mu: np.ndarray, threshold: float) -> float:
     return 2.0 * k
 
 
-def bs_matrix(H: Matrix, V: DecayingPotential | np.ndarray, lam: float) -> BSMatrix:
+def bs_matrix(H: Matrix, V: np.ndarray, lam: float) -> BSMatrix:
     """X = V^{1/2} (lambda I - H_L)^{-1} V^{1/2} on the support of V."""
     A = _symmetric_matrix(H)
     n = A.shape[0]
     v = _potential(V, n)
-    _check_resolvent_point(A, lam)
+    below = _check_resolvent_point(A, lam)
     support = np.flatnonzero(v > 0.0)
-    X = BSMatrix(lam, support, np.sqrt(v[support]), n)
+    X = BSMatrix(lam, support, np.sqrt(v[support]), n, below)
     if support.size:
         X._lu = splu((lam * sp.identity(n, format="csc") - A).tocsc(), permc_spec="MMD_AT_PLUS_A")
     return X
@@ -369,7 +369,7 @@ def counting_bs(X: BSMatrix, tau: float, sign: str) -> Count:
 
 def counting_direct(
     H: Matrix,
-    V: DecayingPotential | np.ndarray,
+    V: np.ndarray,
     lam: float,
     tau: float,
     sign: str,
@@ -426,7 +426,7 @@ def default_lambda_ladder(gap: Gap, sign: str, depth: int = 12) -> np.ndarray:
 
 def edge_counting(
     H: Matrix,
-    V: DecayingPotential | np.ndarray,
+    V: np.ndarray,
     gap: Gap,
     tau: float,
     sign: str,
@@ -478,12 +478,11 @@ def asymptotic_table(
         H = assemble_truncated(graph, L)
         V = sample_potential(graph, theta, p, L)
         X = bs_matrix(H, V, lam)  # checks lambda against sigma(H_L)
-        base = eigencount_below(H.matrix, lam)
         # Widest threshold first, so that one partial spectrum serves every tau.
         cbs = {tau: counting_bs(X, tau, sign) for tau in sorted(tau_list, reverse=True)}
         nbs, ndir, bnd = [], [], []
         for tau in tau_list:
-            cd = counting_direct(H, V, lam, tau, sign, base=base)
+            cd = counting_direct(H, V, lam, tau, sign, base=X.below)
             nbs.append(cbs[tau].value)
             ndir.append(cd.value)
             bnd.append(cbs[tau].boundary)

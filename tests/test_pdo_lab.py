@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,25 @@ def test_commutator_finite_support_finite_rank():
     W = tabulated_symbol(np.array([[0], [1]]), np.array([1.0, 2.0]), 16)
     rep = commutator_decay({1: 1.0}, W, 1.0, 16)
     assert 0 < len(rep.svalues) <= 4
+
+
+def test_commutator_decay_2d_matches_explicit_kernel():
+    L = 3
+    coeffs = {(1, 0): 1.0, (0, -1): 0.5, (1, 1): 1j}
+    W = homogeneous_symbol(lambda u: 1.0 + 0.5 * u[:, 0] + 0.3j * u[:, 1], 1.0, 2, L)
+    w = {tuple(int(c) for c in n): x for n, x in zip(W.points, W.values)}
+    cells = list(itertools.product(range(-L, L + 1), repeat=2))
+    K = np.zeros((len(cells), len(cells)), dtype=complex)
+    for i, m in enumerate(cells):
+        for j, n in enumerate(cells):
+            t = (n[0] - m[0], n[1] - m[1])
+            if t in coeffs:
+                K[i, j] += coeffs[t] * (w.get(n, 0.0) - w.get(m, 0.0))
+    sv = np.linalg.svd(K, compute_uv=False)
+    sv = sv[sv > 1e-13 * sv[0]]
+    rep = commutator_decay(coeffs, W, 1.0, L)
+    assert len(rep.svalues) == sv.size > 0
+    np.testing.assert_allclose(rep.svalues.values, sv, rtol=0.0, atol=1e-12)
 
 
 def test_commutator_decay_trend():

@@ -1,7 +1,9 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from test_floquet import diagonal_two_vertex_graph
 
 from gapcount.periodic_graph import (
     EdgeSpec,
@@ -9,8 +11,10 @@ from gapcount.periodic_graph import (
     GraphSpec,
     VertexSpec,
     assemble_truncated,
+    box_cells,
     build_graph,
     dimer_chain,
+    potential_from_function,
     sample_potential,
     square_lattice,
     theta_const,
@@ -122,6 +126,22 @@ def test_truncated_symmetry_bitwise():
     assert np.array_equal(H, H.T)
 
 
+def test_truncated_matrix_matches_loops_over_cells_and_edges():
+    graph = diagonal_two_vertex_graph()
+    L, nu = 2, graph.nu
+    cells = list(itertools.product(range(-L, L + 1), repeat=2))
+    row = {c: i for i, c in enumerate(cells)}
+    A = np.diag(np.tile(graph.degrees + graph.Q, len(cells)))
+    for c in cells:
+        for e in graph.edges:
+            n = (c[0] + e.cell[0], c[1] + e.cell[1])
+            if n in row:
+                a, b = row[c] * nu + e.j - 1, row[n] * nu + e.jp - 1
+                A[a, b] -= e.mult
+                A[b, a] -= e.mult
+    np.testing.assert_array_equal(assemble_truncated(graph, L).matrix.toarray(), A)
+
+
 def test_laplacian_annihilates_constants_in_interior():
     g = square_lattice(2)
     H = assemble_truncated(g, 2)
@@ -137,8 +157,8 @@ def test_sample_potential_chain():
     V = sample_potential(g, theta_const(1.0), 1.0, 5)
     r = np.abs(assemble_truncated(g, 5).positions[:, 0])
     far = r >= 1.0
-    np.testing.assert_allclose(V.values[far], 1.0 / r[far])
-    assert V.values[~far] == pytest.approx(1.0)
+    np.testing.assert_allclose(V[far], 1.0 / r[far])
+    assert V[~far] == pytest.approx(1.0)
 
 
 def test_potential_tail_decays():
@@ -146,7 +166,7 @@ def test_potential_tail_decays():
     V = sample_potential(g, theta_const(1.0), 0.5, 200)
     r = np.abs(assemble_truncated(g, 200).positions[:, 0])
     order = np.argsort(r)
-    assert V.values[order][-1] < 1e-3
+    assert V[order][-1] < 1e-3
 
 
 def test_negative_theta_rejected():
@@ -156,8 +176,34 @@ def test_negative_theta_rejected():
 
 def test_potential_homogeneity_in_theta():
     g = square_lattice(2)
-    v1 = sample_potential(g, theta_cos2(), 1.0, 3).values
+    v1 = sample_potential(g, theta_cos2(), 1.0, 3)
     two = theta_cos2()
     doubled = type(two)(lambda u: 2.0 * u[:, 0] ** 2, 2.0, "2cos2")
-    v2 = sample_potential(g, doubled, 1.0, 3).values
+    v2 = sample_potential(g, doubled, 1.0, 3)
     np.testing.assert_allclose(v2, 2.0 * v1)
+
+
+@pytest.mark.parametrize("graph", [dimer_chain(), diagonal_two_vertex_graph()], ids=["dimer", "2d-two-vertex"])
+def test_potentials_line_up_with_the_hamiltonian_sites(graph):
+    L = 3
+    H = assemble_truncated(graph, L)
+    # site = cell row * nu + j - 1, cells in box_cells order
+    j = np.arange(H.nsites) % graph.nu
+    np.testing.assert_array_equal(H.positions, graph.offsets[j] + H.cells)
+    np.testing.assert_array_equal(H.cells[:: graph.nu], box_cells(graph.dim, L))
+    r = np.linalg.norm(H.positions, axis=1)
+    far = r >= 1.0
+    expect = np.ones(H.nsites)
+    expect[far] = r[far] ** (-graph.dim / 0.5) * (H.positions[far, 0] / r[far]) ** 2
+    np.testing.assert_allclose(sample_potential(graph, theta_cos2(), 0.5, L), expect, rtol=1e-14)
+
+    def fn(pos):
+        return 1.0 + pos[:, 0] ** 2 + 2.0 * pos[:, -1] ** 2
+
+    np.testing.assert_array_equal(potential_from_function(graph, fn, L), fn(H.positions))
+    with pytest.raises(GraphError, match="radius"):
+        assemble_truncated(graph, -1)
+    with pytest.raises(GraphError, match="radius"):
+        sample_potential(graph, theta_const(1.0), 1.0, -1)
+    with pytest.raises(GraphError, match="radius"):
+        potential_from_function(graph, fn, -1)

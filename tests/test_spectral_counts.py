@@ -6,10 +6,10 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gapcount.periodic_graph as pg
 import gapcount.spectral_counts as sc
 from gapcount.floquet import Gap, band_structure, find_gaps
 from gapcount.periodic_graph import (
-    FiniteHamiltonian,
     assemble_truncated,
     dimer_chain,
     sample_potential,
@@ -29,18 +29,6 @@ from gapcount.spectral_counts import (
 )
 
 
-def wrap(A: np.ndarray) -> FiniteHamiltonian:
-    n = A.shape[0]
-    return FiniteHamiltonian(
-        graph=None,
-        L=0,
-        matrix=sp.csr_matrix(A),
-        cells=np.zeros((n, 1), dtype=int),
-        vertex_ids=np.ones(n, dtype=int),
-        positions=np.zeros((n, 1)),
-    )
-
-
 def svals_count(A: np.ndarray, s: float) -> int:
     return int(np.count_nonzero(np.linalg.svd(A, compute_uv=False) > s))
 
@@ -50,12 +38,12 @@ def svals_count(A: np.ndarray, s: float) -> int:
 
 
 def test_scalar_bs_matrix():
-    X = bs_matrix(wrap(np.array([[2.0]])), np.array([1.0]), -1.0)
+    X = bs_matrix(np.array([[2.0]]), np.array([1.0]), -1.0)
     np.testing.assert_allclose(X.matrix, [[-1.0 / 3.0]])
 
 
 def test_scalar_counting_both_routes():
-    H = wrap(np.array([[2.0]]))
+    H = np.array([[2.0]])
     v = np.array([1.0])
     X = bs_matrix(H, v, -1.0)
     for tau in (1.0, 2.9, 3.1, 10.0):
@@ -67,7 +55,7 @@ def test_scalar_counting_both_routes():
 
 
 def test_empty_potential():
-    H = wrap(np.diag([1.0, 3.0]))
+    H = np.diag([1.0, 3.0])
     X = bs_matrix(H, np.zeros(2), 2.0)
     assert X.matrix.shape == (0, 0)
     assert counting_bs(X, 5.0, "-").value == 0
@@ -75,7 +63,7 @@ def test_empty_potential():
 
 
 def test_lambda_near_spectrum_rejected():
-    H = wrap(np.diag([1.0, 3.0]))
+    H = np.diag([1.0, 3.0])
     with pytest.raises(CountingError, match="eigenvalue"):
         bs_matrix(H, np.ones(2), 1.0 + 1e-12)
 
@@ -104,14 +92,13 @@ def test_bs_identity_random_models():
         v = rng.uniform(0, 2, n)
         v[rng.random(n) < 0.3] = 0.0
         lam = float(rng.uniform(1.2, 1.8))
-        H = wrap(A)
-        X = bs_matrix(H, v, lam)
+        X = bs_matrix(A, v, lam)
         for sign in ("+", "-"):
             tau = float(rng.uniform(0.5, 8.0))
             t = tau if sign == "+" else -tau
             if np.min(np.abs(np.linalg.eigvalsh(A + t * np.diag(v)) - lam)) < 1e-6:
                 continue
-            assert counting_bs(X, tau, sign).value == counting_direct(H, v, lam, tau, sign).value
+            assert counting_bs(X, tau, sign).value == counting_direct(A, v, lam, tau, sign).value
 
 
 def test_counts_monotone_in_tau_and_rank_bounded():
@@ -119,8 +106,7 @@ def test_counts_monotone_in_tau_and_rank_bounded():
     A = np.diag(np.linspace(0.0, 1.0, 10))
     v = np.zeros(10)
     v[:4] = rng.uniform(0.5, 1.5, 4)
-    H = wrap(A)
-    X = bs_matrix(H, v, 2.0)
+    X = bs_matrix(A, v, 2.0)
     last = 0
     for tau in (0.5, 1.0, 2.0, 5.0, 20.0):
         c = counting_bs(X, tau, "+").value
@@ -159,7 +145,7 @@ def test_default_lambda_ladder_monotone():
 
 
 def test_edge_counting_scalar_model():
-    H = wrap(np.array([[2.0]]))
+    H = np.array([[2.0]])
     v = np.array([1.0])
     gap = Gap(-math.inf, 2.0, "left-semi-infinite", None, 0.1)
     res = edge_counting(H, v, gap, tau=4.0, sign="-")
@@ -194,6 +180,32 @@ def test_asymptotic_table_schema_and_identity():
     lines = csv.strip().split("\n")
     assert lines[0] == "lambda,tau,L,N_bs,N_direct,gamma,ratio,flags"
     assert len(lines) == 3
+
+
+def test_asymptotic_table_assembles_each_box_once(monkeypatch):
+    calls = []
+
+    def spy(graph, L):
+        calls.append(L)
+        return assemble_truncated(graph, L)
+
+    monkeypatch.setattr(pg, "assemble_truncated", spy)
+    monkeypatch.setattr(sc, "assemble_truncated", spy)
+    asymptotic_table(
+        square_lattice(1), theta_const(1.0), p=1.0, lam=-1.0, sign="-",
+        tau_list=(2.0,), L_list=(20, 40), grid=32,
+    )
+    assert sorted(calls) == [20, 40]
+
+
+@pytest.mark.parametrize(
+    "graph, lam, below", [(square_lattice(1), -1.0, 0), (dimer_chain(), 3.0, 81)], ids=["square1", "dimer"]
+)
+def test_bs_matrix_keeps_the_count_below_lambda(graph, lam, below):
+    H = assemble_truncated(graph, 40)
+    X = bs_matrix(H, sample_potential(graph, theta_const(1.0), 1.0, 40), lam)
+    assert X.below == eigencount_below(H, lam) == below
+    assert H.nsites == 81 * graph.nu
 
 
 def test_asymptotic_table_rejects_small_box():
@@ -240,7 +252,7 @@ def test_inertia_exact_zero_pivots(L):
     # diagonal there and miscounts, so the primitive must not report it.
     graph = square_lattice(2)
     H = assemble_truncated(graph, L)
-    v = sample_potential(graph, theta_const(1.0), 1.0, L).values
+    v = sample_potential(graph, theta_const(1.0), 1.0, L)
     A = H.matrix - 5.0 * sp.diags(v)
     res = inertia(A, -1.0)
     assert res.below == dense_count(A, -1.0)
@@ -320,7 +332,7 @@ def _bs_against_dense(H, v, lam, sign, taus):
 def test_bs_partial_spectrum_below_the_spectrum():
     graph = square_lattice(1)
     H = assemble_truncated(graph, 300)
-    v = sample_potential(graph, theta_const(1.0), 1.0, 300).values
+    v = sample_potential(graph, theta_const(1.0), 1.0, 300)
     w = _bs_against_dense(H, v, -1.0, "-", (5.0, 40.0, 20.0, 100.0))
     assert np.count_nonzero(w < -1.0 / 100.0) > 2 * sc._EIGSH_START_K
     _bs_against_dense(H, v, -1.0, "+", (5.0, 100.0))
@@ -329,7 +341,7 @@ def test_bs_partial_spectrum_below_the_spectrum():
 def test_bs_partial_spectrum_interior_gap_both_signs():
     graph = dimer_chain()
     H = assemble_truncated(graph, 150)
-    v = sample_potential(graph, theta_const(1.0), 1.0, 150).values
+    v = sample_potential(graph, theta_const(1.0), 1.0, 150)
     lam = 3.0  # inside the interior gap (2, 4): X is indefinite
     w = np.linalg.eigvalsh(bs_matrix(H, v, lam).matrix)
     assert w[0] < -0.1 and w[-1] > 0.1
@@ -347,13 +359,13 @@ def test_bs_partial_spectrum_interior_gap_both_signs():
 
 
 def test_counting_direct_rejects_negative_potential():
-    H = wrap(np.diag([1.0, 3.0]))
+    H = np.diag([1.0, 3.0])
     with pytest.raises(CountingError, match="nonnegative"):
         counting_direct(H, np.array([1.0, -0.5]), 2.0, 1.0, "-")
 
 
 def test_counting_direct_raises_on_negative_difference(monkeypatch):
-    H = wrap(np.diag([1.0, 3.0]))
+    H = np.diag([1.0, 3.0])
     true_inertia = sc.inertia
 
     def undercount_shifted(A, x):  # wrong only for H - tau V, whose diagonal starts 0.5
@@ -368,7 +380,7 @@ def test_counting_direct_raises_on_negative_difference(monkeypatch):
 def test_counting_apis_accept_matrices():
     graph = square_lattice(1)
     H = assemble_truncated(graph, 60)
-    v = sample_potential(graph, theta_const(1.0), 1.0, 60).values
+    v = sample_potential(graph, theta_const(1.0), 1.0, 60)
     gap = find_gaps(band_structure(graph, 32))[0]
     want_bs = counting_bs(bs_matrix(H, v, -1.0), 20.0, "-")
     want_direct = counting_direct(H, v, -1.0, 20.0, "-")
