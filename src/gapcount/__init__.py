@@ -3,10 +3,8 @@ for discrete periodic Schrodinger operators on Z^d-periodic graphs."""
 
 from .floquet import (
     BandStructure,
-    FiberMatrix,
     Gap,
     GapEdge,
-    RegularityReport,
     band_structure,
     band_values,
     check_edge_regularity,
@@ -18,7 +16,6 @@ from .floquet import (
     torus_grid,
 )
 from .gamma import (
-    EdgeIntegralReport,
     GammaResult,
     edge_integral,
     gamma_at_edge,
@@ -27,9 +24,6 @@ from .gamma import (
     weak_edge_membership,
 )
 from .pdo_lab import (
-    CommutatorReport,
-    LatticeSymbol,
-    SingularValueReport,
     SymbolTriple,
     commutator_decay,
     cwikel_ratio,
@@ -57,7 +51,6 @@ from .periodic_graph import (
 from .spectral_counts import (
     BSMatrix,
     CountingError,
-    CountingTable,
     asymptotic_table,
     bs_matrix,
     counting_bs,
@@ -67,7 +60,6 @@ from .spectral_counts import (
     inertia,
 )
 from .weak_lp import (
-    DpWindowEstimate,
     WeightedSequence,
     distribution,
     dp_window,

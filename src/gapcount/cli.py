@@ -92,9 +92,7 @@ def _gap_json(g) -> dict:
 
 
 def _cmd_bands(args) -> int:
-    graph = _load_graph(args.graph)
-    bands = band_structure(graph, args.grid)
-    _emit(bands_to_csv(bands), args.out)
+    _emit(bands_to_csv(_load_graph(args.graph), args.grid), args.out)
     return 0
 
 
@@ -194,7 +192,6 @@ def _cmd_asymptotics(args) -> int:
         tau_list=args.tau,
         L_list=args.L,
         grid=args.grid,
-        support_c=args.support_c,
     )
     _emit(table.to_csv(), args.out)
     return 0
@@ -219,7 +216,8 @@ def _cmd_pdo(args) -> int:
         return 0
     if args.mode == "commutator":
         W = homogeneous_symbol(args.v, args.p, args.dim, args.L)
-        coeffs = {int(t): complex(c) for t, c in json.loads(args.coeffs).items()}
+        # one integer per axis, comma-separated: "1" in d = 1, "1,0" in d = 2
+        coeffs = {tuple(map(int, t.split(","))): complex(c) for t, c in json.loads(args.coeffs).items()}
         rep = commutator_decay(coeffs, W, args.p, args.L)
         lines = ["m,s_m,m^{1/p}s_m"]
         for i, (s, pr) in enumerate(zip(rep.svalues.values, rep.products), start=1):
@@ -322,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, nargs="+", required=True)
     p.add_argument("--L", type=int, nargs="+", required=True)
     p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--support-c", type=float, default=10.0)
     p.set_defaults(fn=_cmd_asymptotics)
 
     p = sub.add_parser("pdo", help="finite-section pseudodifferential experiments")
@@ -336,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--coeffs", default='{"1": 1.0}', help='JSON lag->coefficient map for the commutator symbol')
+    p.add_argument("--coeffs", default='{"1": 1.0}', help='JSON lag->coefficient map, lags like "1" or "1,0"')
     p.set_defaults(fn=_cmd_pdo)
 
     p = sub.add_parser("weaklp", help="weak-lp functionals of a sampled sequence")

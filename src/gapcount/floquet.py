@@ -28,24 +28,24 @@ from .periodic_graph import PeriodicGraph
 
 _CHUNK = 1 << 18
 
+# check_edge_regularity: coarse search grid per axis, finite-difference step
+# of the coarsest Hessian, relative definiteness tolerance, and the number of
+# extremizer clusters beyond which an edge counts as non-regular.
+_COARSE_GRID = 24
+_FD_STEP = 1e-2
+_HESSIAN_TOL = 1e-6
+_MAX_EXTREMIZERS = 64
+
 
 class EigenError(ValueError):
     """Input violates the Hermitian eigensolver contract."""
 
 
 @dataclass(frozen=True)
-class FiberMatrix:
-    k: np.ndarray
-    entries: np.ndarray  # (nu, nu) complex Hermitian
-
-
-@dataclass(frozen=True)
 class BandStructure:
     graph: PeriodicGraph
     M: int
-    kpoints: np.ndarray  # (M^d, d)
-    bands: np.ndarray  # (M^d, nu) ascending per row
-    band_extrema: np.ndarray  # (nu, 2) min/max over the grid
+    band_extrema: np.ndarray  # (nu, 2) min/max over the M^d torus grid
 
     @property
     def grid_step(self) -> float:
@@ -90,11 +90,12 @@ class RegularityReport:
 # fiber assembly and eigensolver
 
 
-def fiber_matrix(graph: PeriodicGraph, k: Sequence[float]) -> FiberMatrix:
+def fiber_matrix(graph: PeriodicGraph, k: Sequence[float]) -> np.ndarray:
+    """The (nu, nu) complex Hermitian fiber h(k)."""
     k = np.asarray(k, dtype=float)
     if k.shape != (graph.dim,):
         raise ValueError("quasimomentum has wrong dimension")
-    return FiberMatrix(k, _assemble(graph, _phases(graph, k), ()))
+    return _assemble(graph, _phases(graph, k), ())
 
 
 def _phases(graph: PeriodicGraph, K: np.ndarray) -> list[np.ndarray]:
@@ -148,15 +149,6 @@ def band_values(graph: PeriodicGraph, K: np.ndarray) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def band_sampler(graph: PeriodicGraph, band_index: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized sampler k -> E_s(k) for a single band (0-based index)."""
-
-    def sampler(K: np.ndarray) -> np.ndarray:
-        return band_values(graph, K)[:, band_index]
-
-    return sampler
-
-
 # ---------------------------------------------------------------------------
 # grid sweeps
 
@@ -200,12 +192,20 @@ def torus_bands(graph: PeriodicGraph, M: int) -> Iterator[np.ndarray]:
         yield _eigvals(_assemble(graph, phases, tuple(map(len, block))))
 
 
-def band_structure(graph: PeriodicGraph, M: int) -> BandStructure:
+def _check_grid(M: int) -> None:
     if M < 2:
         raise ValueError("grid size must be >= 2")
-    bands = np.concatenate(list(torus_bands(graph, M)), axis=0)
-    extrema = np.stack([bands.min(axis=0), bands.max(axis=0)], axis=1)
-    return BandStructure(graph, M, torus_grid(graph.dim, M), bands, extrema)
+
+
+def band_structure(graph: PeriodicGraph, M: int) -> BandStructure:
+    """Per-band min and max over the M^d torus grid, taken block by block."""
+    _check_grid(M)
+    lo = np.full(graph.nu, np.inf)
+    hi = np.full(graph.nu, -np.inf)
+    for E in torus_bands(graph, M):
+        lo = np.minimum(lo, E.min(axis=0))
+        hi = np.maximum(hi, E.max(axis=0))
+    return BandStructure(graph, M, np.stack([lo, hi], axis=1))
 
 
 def find_gaps(bands: BandStructure) -> list[Gap]:
@@ -298,11 +298,6 @@ def check_edge_regularity(
     band: Callable[[np.ndarray], np.ndarray],
     edge: GapEdge,
     dim: int,
-    *,
-    coarse_grid: int = 24,
-    fd_step: float = 1e-2,
-    hessian_tol: float = 1e-6,
-    max_extremizers: int = 64,
 ) -> RegularityReport:
     """Locate edge extremizers and test for nondegenerate definite Hessians.
 
@@ -310,7 +305,7 @@ def check_edge_regularity(
     samplers are accepted on the same footing as graph bands.
     """
     sign = 1.0 if edge.sign == "+" else -1.0  # maximize at a '+' edge
-    K = torus_grid(dim, coarse_grid)
+    K = torus_grid(dim, _COARSE_GRID)
     vals = np.asarray(band(K), dtype=float)
     spread = float(vals.max() - vals.min()) or 1.0
     target = float(vals.max()) if edge.sign == "+" else float(vals.min())
@@ -318,7 +313,7 @@ def check_edge_regularity(
     cand = K[np.abs(vals - target) <= tol0]
 
     # greedy torus clustering at ~1.5 grid steps
-    step = 2.0 * math.pi / coarse_grid
+    step = 2.0 * math.pi / _COARSE_GRID
     clusters: list[np.ndarray] = []
     for pt in cand:
         for c in clusters:
@@ -326,7 +321,7 @@ def check_edge_regularity(
                 break
         else:
             clusters.append(pt)
-    if len(clusters) > max_extremizers:
+    if len(clusters) > _MAX_EXTREMIZERS:
         return RegularityReport(edge, tuple(clusters), (), "non-regular")
 
     refined: list[np.ndarray] = []
@@ -341,9 +336,9 @@ def check_edge_regularity(
     hessians: list[np.ndarray] = []
     verdict = "regular"
     for x in refined:
-        d1 = _fd_hessian(band, x, fd_step)
-        d2 = _fd_hessian(band, x, fd_step / 2.0)
-        d3 = _fd_hessian(band, x, fd_step / 4.0)
+        d1 = _fd_hessian(band, x, _FD_STEP)
+        d2 = _fd_hessian(band, x, _FD_STEP / 2.0)
+        d3 = _fd_hessian(band, x, _FD_STEP / 4.0)
         r1 = (4.0 * d2 - d1) / 3.0
         r2 = (4.0 * d3 - d2) / 3.0
         scale = max(1.0, float(np.abs(r2).max()))
@@ -352,9 +347,9 @@ def check_edge_regularity(
         hessians.append(r2)
         eigs = np.linalg.eigvalsh(r2)
         if edge.sign == "+":
-            definite = eigs.max() < 0.0 and abs(eigs.max()) >= hessian_tol * abs(eigs.min())
+            definite = eigs.max() < 0.0 and abs(eigs.max()) >= _HESSIAN_TOL * abs(eigs.min())
         else:
-            definite = eigs.min() > 0.0 and abs(eigs.min()) >= hessian_tol * abs(eigs.max())
+            definite = eigs.min() > 0.0 and abs(eigs.min()) >= _HESSIAN_TOL * abs(eigs.max())
         if not definite and verdict != "inconclusive":
             verdict = "non-regular"
     if not refined:
@@ -362,9 +357,9 @@ def check_edge_regularity(
     return RegularityReport(edge, tuple(refined), tuple(hessians), verdict)
 
 
-def check_gap_edge_regularity(graph: PeriodicGraph, gap: Gap, which: str, **kwargs) -> RegularityReport:
+def check_gap_edge_regularity(graph: PeriodicGraph, gap: Gap, which: str) -> RegularityReport:
     edge = gap_edge(gap, which, graph.nu)
-    return check_edge_regularity(band_sampler(graph, edge.band_index), edge, graph.dim, **kwargs)
+    return check_edge_regularity(lambda K: band_values(graph, K)[:, edge.band_index], edge, graph.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +370,12 @@ def format_real(x: float) -> str:
     return f"{x:.17g}"
 
 
-def bands_to_csv(bands: BandStructure) -> str:
-    d = bands.graph.dim
-    nu = bands.graph.nu
-    header = ",".join([f"k_{i+1}" for i in range(d)] + [f"E_{s+1}" for s in range(nu)])
+def bands_to_csv(graph: PeriodicGraph, M: int) -> str:
+    """One row per point of torus_grid(graph.dim, M): the k components, then E_1..E_nu."""
+    _check_grid(M)
+    header = ",".join([f"k_{i+1}" for i in range(graph.dim)] + [f"E_{s+1}" for s in range(graph.nu)])
     lines = [header]
-    for k, e in zip(bands.kpoints, bands.bands):
+    E = np.concatenate(list(torus_bands(graph, M)), axis=0)
+    for k, e in zip(torus_grid(graph.dim, M), E):
         lines.append(",".join(format_real(x) for x in (*k, *e)))
     return "\n".join(lines) + "\n"

@@ -22,6 +22,12 @@ from .floquet import BandStructure, GapEdge, torus_bands
 from .floquet import band_values  # noqa: F401  unused; perfbench/test_perfbench.py asserts this binding
 from .periodic_graph import PeriodicGraph, ThetaProfile
 
+# Sphere nodes: equispaced angles on S^1; Gauss-Legendre polar nodes on S^2,
+# with twice as many equispaced azimuths.
+_CIRCLE_POINTS = 512
+_POLAR_POINTS = 64
+_WEAK_LEVELS = 40  # log-spaced levels s of the weak-membership check
+
 
 class GammaError(ValueError):
     """Evaluation point incompatible with the requested coefficient."""
@@ -60,7 +66,7 @@ class EdgeGammaResult:
 # sphere quadrature
 
 
-def sphere_integral(theta: ThetaProfile | Callable, p: float, d: int, resolution: int = 0) -> float:
+def sphere_integral(theta: ThetaProfile | Callable, p: float, d: int) -> float:
     """int_{S^{d-1}} theta(w)^p dS(w) for d in {1, 2, 3}."""
     if p <= 0:
         raise ValueError("p must be positive")
@@ -72,13 +78,13 @@ def sphere_integral(theta: ThetaProfile | Callable, p: float, d: int, resolution
         vals = np.asarray(fn(dirs), dtype=float)
         return float(np.sum(vals**p))
     if d == 2:
-        n = resolution or 512
+        n = _CIRCLE_POINTS
         phi = 2.0 * math.pi * np.arange(n) / n
         dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
         vals = np.asarray(fn(dirs), dtype=float)
         return float(np.sum(vals**p) * (2.0 * math.pi / n))
     if d == 3:
-        npol = resolution or 64
+        npol = _POLAR_POINTS
         nazi = 2 * npol
         t, w = np.polynomial.legendre.leggauss(npol)  # polar cosine
         phi = 2.0 * math.pi * np.arange(nazi) / nazi
@@ -202,7 +208,6 @@ def weak_edge_membership(
     p: float,
     *,
     grid: int | None = None,
-    s_points: int = 40,
 ) -> EdgeIntegralReport:
     """Weak-L_{p,infty} membership check for (Lambda - E_s)_{+/-}^{-1}.
 
@@ -221,7 +226,7 @@ def weak_edge_membership(
     F = np.concatenate(levels)
     cell = (2.0 * math.pi / M) ** d
     smax = float(F.max())
-    sgrid = np.geomspace(1.0, max(smax, 2.0), s_points)
+    sgrid = np.geomspace(1.0, max(smax, 2.0), _WEAK_LEVELS)
     Fs = np.sort(F)
     counts = F.size - np.searchsorted(Fs, sgrid, side="right")
     mes = counts * cell

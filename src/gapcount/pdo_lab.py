@@ -105,7 +105,9 @@ def homogeneous_symbol(
 
 
 def tabulated_symbol(points: np.ndarray, values: np.ndarray, L: int) -> LatticeSymbol:
-    points = np.atleast_2d(np.asarray(points, dtype=int))
+    """W from support points (N, d), or (N,) for d = 1, and their values (N,)."""
+    points = np.asarray(points, dtype=int)
+    points = points[:, None] if points.ndim == 1 else np.atleast_2d(points)
     values = np.asarray(values, dtype=complex)
     if points.shape[0] != values.shape[0]:
         raise PdoError("points/values length mismatch")
@@ -127,8 +129,6 @@ class SymbolTriple:
 @dataclass(frozen=True)
 class SingularValueReport:
     svalues: WeightedSequence
-    L: int
-    M: int
 
 
 def _nonzero(sv: np.ndarray) -> np.ndarray:
@@ -183,10 +183,8 @@ def pdo_singular_values(triple: SymbolTriple) -> SingularValueReport:
     BBt = W.values[:, None] * _coeff_matrix(cg, W.points, max_lag) * np.conj(W.values)[None, :]
     w, U = np.linalg.eigh(BBt)
     root = (U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
-    core = root @ AtA @ root
-    ev = np.clip(np.linalg.eigvalsh(core), 0.0, None)
-    sv = _nonzero(np.sqrt(ev)[::-1])
-    return SingularValueReport(WeightedSequence(sv), W.L, triple.M)
+    ev = np.clip(np.linalg.eigvalsh(root @ AtA @ root), 0.0, None)
+    return SingularValueReport(WeightedSequence(_nonzero(np.sqrt(ev)[::-1])))
 
 
 def fphiw_singular_values(f: TorusFunction, W: LatticeSymbol, M: int) -> WeightedSequence:
@@ -249,7 +247,6 @@ def dp_vs_formula(
     p: float,
     L: int,
     M: int,
-    window: tuple[float, float] | None = None,
     d: int = 1,
 ) -> tuple[DpWindowEstimate, float]:
     """Empirical s^p n(s) window estimate against the quadrature formula
@@ -261,8 +258,7 @@ def dp_vs_formula(
     if len(report.svalues) == 0:
         zero = DpWindowEstimate(p, (0.0, 1.0), 0.0, 0.0, 0)
         return zero, 0.0
-    win = window or default_dp_window(report.svalues)
-    est = dp_window(report.svalues, p, win)
+    est = dp_window(report.svalues, p, default_dp_window(report.svalues))
     K = torus_grid(d, M)
     fg = np.abs(np.asarray(f(K)) * np.asarray(g(K))) ** p
     torus = float(np.sum(fg) * (2.0 * math.pi / M) ** d)

@@ -102,9 +102,7 @@ class PeriodicGraph:
 class FiniteHamiltonian:
     """Compression of H to the box |n|_inf <= L (full degrees kept)."""
 
-    matrix: sp.csr_matrix
-    cells: np.ndarray  # (nsites, dim) integer translations
-    positions: np.ndarray  # (nsites, dim) embedded x_j + n
+    matrix: sp.csr_matrix  # sites in `box_sites` order
 
     @property
     def nsites(self) -> int:
@@ -302,8 +300,7 @@ def assemble_truncated(graph: PeriodicGraph, L: int) -> FiniteHamiltonian:
     Full-graph degrees stay on the diagonal; couplings leaving the box
     are dropped.
     """
-    cells, positions = box_sites(graph, L)
-    nu, nsites = graph.nu, cells.shape[0]
+    nu, nsites = graph.nu, box_sites(graph, L)[0].shape[0]
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
@@ -323,7 +320,7 @@ def assemble_truncated(graph: PeriodicGraph, L: int) -> FiniteHamiltonian:
         shape=(nsites, nsites),
     )
     mat.sum_duplicates()
-    return FiniteHamiltonian(mat, cells, positions)
+    return FiniteHamiltonian(mat)
 
 
 def sample_potential(graph: PeriodicGraph, theta: ThetaProfile, p: float, L: int) -> np.ndarray:

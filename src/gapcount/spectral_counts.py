@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .floquet import BandStructure, Gap, band_structure, find_gaps, format_real
+from .floquet import Gap, band_structure, find_gaps, format_real
 from .gamma import GammaResult, gamma_coefficient
 from .periodic_graph import (
     FiniteHamiltonian,
@@ -55,6 +55,11 @@ _EIGSH_START_K = 8
 # ARPACK's tolerance relative to each Ritz value's distance from the
 # threshold; explicit residuals, not this, bound the eigenvalues.
 _EIGSH_TOL = 1e-2
+# Rungs of the default lambda ladder toward a gap edge.
+_LADDER_DEPTH = 12
+# Support guard of the asymptotic table: the largest box needs
+# L >= _SUPPORT_C tau^{p/d}.
+_SUPPORT_C = 10.0
 
 
 class CountingError(ValueError):
@@ -89,10 +94,6 @@ class CountRow:
 @dataclass(frozen=True)
 class CountingTable:
     rows: tuple[CountRow, ...]
-    graph: PeriodicGraph
-    p: float
-    theta_name: str
-    sign: str
     gamma: GammaResult
 
     def to_csv(self) -> str:
@@ -404,7 +405,7 @@ def counting_direct(
 # edge limits and the asymptotic table
 
 
-def default_lambda_ladder(gap: Gap, sign: str, depth: int = 12) -> np.ndarray:
+def default_lambda_ladder(gap: Gap, sign: str) -> np.ndarray:
     """Geometric approach lambda_k = Lambda -/+ width 2^{-k} toward the edge.
 
     sign '+' approaches the lower edge Lambda_+ from above; sign '-'
@@ -412,7 +413,7 @@ def default_lambda_ladder(gap: Gap, sign: str, depth: int = 12) -> np.ndarray:
     use a unit width scale.
     """
     width = gap.width if math.isfinite(gap.width) else 1.0
-    ks = np.arange(1, depth + 1)
+    ks = np.arange(1, _LADDER_DEPTH + 1)
     if sign == "+":
         if not math.isfinite(gap.lower):
             raise CountingError("gap has no finite lower edge")
@@ -453,7 +454,6 @@ def asymptotic_table(
     L_list: Sequence[int],
     *,
     grid: int = 64,
-    support_c: float = 10.0,
 ) -> CountingTable:
     """Stabilization-in-L counting table compared against tau^p Gamma."""
     tau_list = list(tau_list)
@@ -462,7 +462,7 @@ def asymptotic_table(
         raise CountingError("L_list must be strictly increasing")
     Lmax = L_list[-1]
     for tau in tau_list:
-        need = support_c * tau ** (p / graph.dim)
+        need = _SUPPORT_C * tau ** (p / graph.dim)
         if Lmax < need:
             raise CountingError(
                 f"largest L={Lmax} below the support heuristic {need:.1f} for tau={tau}"
@@ -505,4 +505,4 @@ def asymptotic_table(
         denom = tau**p * gamma.value
         ratio = nbs / denom if denom > 0 else math.inf
         rows.append(CountRow(lam, tau, chosen_L, nbs, ndir, gamma.value, ratio, tuple(flags)))
-    return CountingTable(tuple(rows), graph, p, getattr(theta, "name", "theta"), sign, gamma)
+    return CountingTable(tuple(rows), gamma)

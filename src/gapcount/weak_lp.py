@@ -7,9 +7,12 @@ counting convention is strict: mu(s) = #{values > s}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+# Smallest rank of the membership checkpoints; a verdict needs twice as many values.
+_MIN_TAIL = 8
 
 
 @dataclass(frozen=True)
@@ -29,11 +32,6 @@ class WeightedSequence:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def scaled(self, c: float) -> "WeightedSequence":
-        if c < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return WeightedSequence(self.values * c)
-
 
 @dataclass(frozen=True)
 class DpWindowEstimate:
@@ -41,19 +39,13 @@ class DpWindowEstimate:
     window: tuple[float, float]
     sup_est: float
     inf_est: float
-    sample_count: int
-
-    @property
-    def zero_samples(self) -> bool:
-        return self.sample_count == 0
+    sample_count: int  # jump points inside the window; 0 leaves both estimates 0
 
 
 @dataclass(frozen=True)
 class MembershipVerdict:
     weak: bool
     small_o: bool
-    checkpoints: np.ndarray = field(repr=False)
-    products: np.ndarray = field(repr=False)
 
 
 def distribution(seq: WeightedSequence, s: float) -> int:
@@ -95,13 +87,13 @@ def dp_window(seq: WeightedSequence, p: float, window: tuple[float, float]) -> D
     inside = distinct[(distinct > s_lo) & (distinct < s_hi)]
     if inside.size == 0:
         return DpWindowEstimate(p, window, 0.0, 0.0, 0)
-    # left limit of the count at a jump: #{values >= a}
-    counts = np.array([np.count_nonzero(vals >= a) for a in inside], dtype=float)
+    # left limit of the count at a jump: #{values >= a}, values descending
+    counts = np.searchsorted(-vals, -inside, side="right").astype(float)
     samples = inside**p * counts
     return DpWindowEstimate(p, window, float(samples.max()), float(samples.min()), int(inside.size))
 
 
-def membership_verdicts(seq: WeightedSequence, p: float, *, min_tail: int = 8) -> MembershipVerdict:
+def membership_verdicts(seq: WeightedSequence, p: float) -> MembershipVerdict:
     """Heuristic weak-lp / small-o verdicts from the product profile.
 
     weak: the running profile a_(m) * m^{1/p} does not trend upward
@@ -111,15 +103,15 @@ def membership_verdicts(seq: WeightedSequence, p: float, *, min_tail: int = 8) -
     if p <= 0:
         raise ValueError("p must be positive")
     n = len(seq)
-    if n < 2 * min_tail:
+    if n < 2 * _MIN_TAIL:
         raise ValueError("sequence too short for a trend verdict")
     m = np.arange(1, n + 1, dtype=float)
     products = seq.values * m ** (1.0 / p)
-    # geometric checkpoints over [min_tail, n]
-    ks = np.unique(np.geomspace(min_tail, n, num=24).astype(int)) - 1
+    # geometric checkpoints over [_MIN_TAIL, n]
+    ks = np.unique(np.geomspace(_MIN_TAIL, n, num=24).astype(int)) - 1
     cp = products[ks]
     weak = bool(cp[-1] <= 1.5 * cp[0] + 1e-300)
     tail = cp[len(cp) // 2 :]
     decreasing = bool(np.all(np.diff(tail) <= 1e-12 * (1.0 + tail[:-1])))
     small = bool(decreasing and tail[-1] <= 0.75 * cp.max())
-    return MembershipVerdict(weak=weak, small_o=weak and small, checkpoints=ks + 1, products=cp)
+    return MembershipVerdict(weak=weak, small_o=weak and small)

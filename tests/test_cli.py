@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gapcount.cli import main
+from gapcount.pdo_lab import commutator_decay, homogeneous_symbol
 
 CHAIN = {
     "dim": 1,
@@ -155,6 +156,17 @@ def test_pdo_dp_mode(tmp_path):
     header, row = out.read_text().strip().split("\n")
     assert header == "L,M,dp_sup,dp_inf,formula"
     assert float(row.split(",")[-1]) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_pdo_commutator_vector_lag(capsys):
+    code = main(["pdo", "--mode", "commutator", "--p", "1", "--dim", "2", "--L", "3", "--coeffs", '{"1,0": 1.0}'])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "m,s_m,m^{1/p}s_m"
+    rep = commutator_decay({(1, 0): 1.0}, homogeneous_symbol(1.0, 1.0, 2, 3), 1.0, 3)
+    printed = [float(line.split(",")[1]) for line in lines[1:]]
+    assert len(printed) == len(rep.svalues) > 0
+    assert printed == rep.svalues.values.tolist()
 
 
 def test_determinism_across_runs(chain_json, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -35,12 +36,12 @@ from gapcount.periodic_graph import (
 
 def test_fiber_chain_endpoints():
     g = square_lattice(1)
-    assert fiber_matrix(g, [0.0]).entries[0, 0] == pytest.approx(0.0)
-    assert fiber_matrix(g, [math.pi]).entries[0, 0] == pytest.approx(4.0)
+    assert fiber_matrix(g, [0.0])[0, 0] == pytest.approx(0.0)
+    assert fiber_matrix(g, [math.pi])[0, 0] == pytest.approx(4.0)
 
 
 def test_fiber_dimer_at_zero():
-    h = fiber_matrix(dimer_chain(), [0.0]).entries
+    h = fiber_matrix(dimer_chain(), [0.0])
     np.testing.assert_allclose(h.real, [[2.0, -2.0], [-2.0, 4.0]], atol=1e-15)
     np.testing.assert_allclose(h.imag, 0.0, atol=1e-15)
 
@@ -62,9 +63,8 @@ def test_non_hermitian_rejected():
 
 
 def test_band_evenness_and_sorting():
-    bands = band_structure(dimer_chain(), 16)
-    K = bands.kpoints
-    E = bands.bands
+    K = torus_grid(1, 16)
+    E = np.concatenate(list(torus_bands(dimer_chain(), 16)))
     assert np.all(np.diff(E, axis=1) >= 0.0)
     for i, k in enumerate(K):
         neg = ((-k + math.pi) % (2.0 * math.pi)) - math.pi  # wrap -k into the grid
@@ -75,13 +75,26 @@ def test_band_evenness_and_sorting():
 def test_trace_identity_without_self_orbits():
     g = dimer_chain()
     for k in np.linspace(-math.pi, math.pi, 7):
-        tr = np.trace(fiber_matrix(g, [k]).entries).real
+        tr = np.trace(fiber_matrix(g, [k])).real
         assert tr == pytest.approx(float((g.degrees + g.Q).sum()), abs=1e-12)
 
 
 def test_nonnegative_spectrum_without_potential():
     bands = band_structure(square_lattice(2), 16)
-    assert bands.bands.min() >= -1e-10
+    assert bands.band_extrema.min() >= -1e-10
+
+
+def test_band_structure_streams_extrema():
+    graph = square_lattice(3)
+    tracemalloc.start()
+    try:
+        bands = band_structure(graph, 96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    E = np.concatenate(list(torus_bands(graph, 96)))
+    np.testing.assert_array_equal(bands.band_extrema, np.stack([E.min(axis=0), E.max(axis=0)], axis=1))
 
 
 def test_chain_gaps():
@@ -109,8 +122,8 @@ def test_truncation_spectrum_within_band_range():
     g = dimer_chain()
     bands = band_structure(g, 128)
     w = np.linalg.eigvalsh(assemble_truncated(g, 6).matrix.toarray())
-    assert w.min() >= bands.bands.min() - 1e-10
-    assert w.max() <= bands.bands.max() + 1e-10
+    assert w.min() >= bands.band_extrema.min() - 1e-10
+    assert w.max() <= bands.band_extrema.max() + 1e-10
 
 
 def test_gap_edge_resolution():
@@ -150,11 +163,22 @@ def test_torus_grid_contains_zero_and_minus_pi():
 
 
 def test_bands_to_csv_schema():
-    bands = band_structure(square_lattice(1), 8)
-    lines = bands_to_csv(bands).strip().split("\n")
+    lines = bands_to_csv(square_lattice(1), 8).strip().split("\n")
     assert lines[0] == "k_1,E_1"
     assert len(lines) == 9
     assert len(lines[1].split(",")) == 2
+
+
+@pytest.mark.parametrize("graph, M", [(square_lattice(2), 12), (dimer_chain(), 250)], ids=["square2", "dimer"])
+def test_bands_to_csv_rows_pair_k_with_its_energies_across_blocks(graph, M, monkeypatch):
+    monkeypatch.setattr(floquet, "_CHUNK", 100)
+    rows = np.array(
+        [[float(x) for x in line.split(",")] for line in bands_to_csv(graph, M).strip().split("\n")[1:]]
+    )
+    K = torus_grid(graph.dim, M)
+    assert rows.shape == (M**graph.dim, graph.dim + graph.nu)
+    np.testing.assert_array_equal(rows[:, : graph.dim], K)
+    np.testing.assert_allclose(rows[:, graph.dim :], band_values(graph, K), rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +244,7 @@ def periodic_graphs(draw):
 @given(graph=periodic_graphs(), data=st.data())
 def test_random_graph_fiber_and_sweep(graph, data):
     k = np.array(data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=graph.dim, max_size=graph.dim)))
-    h = fiber_matrix(graph, k).entries
+    h = fiber_matrix(graph, k)
     np.testing.assert_array_equal(h, h.conj().T)
     scale = max(1.0, float(np.abs(h).sum()))
     assert abs(band_values(graph, k).sum() - np.trace(h).real) <= 1e-12 * scale

@@ -142,6 +142,14 @@ def test_dp_formula_half_torus():
     assert formula == pytest.approx(1.0, rel=1e-2)
 
 
+def test_tabulated_symbol_one_dimensional_points():
+    W = tabulated_symbol(np.array([0, 1, 2]), np.array([1.0, 2.0, 3.0]), 4)
+    assert W.points.shape == (3, 1) and W.dim == 1
+    np.testing.assert_array_equal(W.points[:, 0], [0, 1, 2])
+    W2 = tabulated_symbol(np.array([[0, 1], [2, -1]]), np.array([1.0, 2.0]), 4)
+    assert W2.points.shape == (2, 2) and W2.dim == 2
+
+
 def test_commutator_constant_symbol_is_zero():
     W = homogeneous_symbol(1.0, 1.0, 1, 32)
     rep = commutator_decay({0: 2.0}, W, 1.0, 32)

@@ -12,6 +12,7 @@ from gapcount.periodic_graph import (
     VertexSpec,
     assemble_truncated,
     box_cells,
+    box_sites,
     build_graph,
     dimer_chain,
     potential_from_function,
@@ -147,7 +148,7 @@ def test_laplacian_annihilates_constants_in_interior():
     H = assemble_truncated(g, 2)
     u = np.ones(H.nsites)
     r = H.matrix @ u
-    interior = np.all(np.abs(H.cells) < 2, axis=1)
+    interior = np.all(np.abs(box_sites(g, 2)[0]) < 2, axis=1)
     assert np.allclose(r[interior], 0.0)
     assert r.min() >= -1e-12
 
@@ -155,7 +156,7 @@ def test_laplacian_annihilates_constants_in_interior():
 def test_sample_potential_chain():
     g = square_lattice(1)
     V = sample_potential(g, theta_const(1.0), 1.0, 5)
-    r = np.abs(assemble_truncated(g, 5).positions[:, 0])
+    r = np.abs(box_sites(g, 5)[1][:, 0])
     far = r >= 1.0
     np.testing.assert_allclose(V[far], 1.0 / r[far])
     assert V[~far] == pytest.approx(1.0)
@@ -164,7 +165,7 @@ def test_sample_potential_chain():
 def test_potential_tail_decays():
     g = square_lattice(1)
     V = sample_potential(g, theta_const(1.0), 0.5, 200)
-    r = np.abs(assemble_truncated(g, 200).positions[:, 0])
+    r = np.abs(box_sites(g, 200)[1][:, 0])
     order = np.argsort(r)
     assert V[order][-1] < 1e-3
 
@@ -187,20 +188,21 @@ def test_potential_homogeneity_in_theta():
 def test_potentials_line_up_with_the_hamiltonian_sites(graph):
     L = 3
     H = assemble_truncated(graph, L)
+    cells, positions = box_sites(graph, L)
     # site = cell row * nu + j - 1, cells in box_cells order
     j = np.arange(H.nsites) % graph.nu
-    np.testing.assert_array_equal(H.positions, graph.offsets[j] + H.cells)
-    np.testing.assert_array_equal(H.cells[:: graph.nu], box_cells(graph.dim, L))
-    r = np.linalg.norm(H.positions, axis=1)
+    np.testing.assert_array_equal(positions, graph.offsets[j] + cells)
+    np.testing.assert_array_equal(cells[:: graph.nu], box_cells(graph.dim, L))
+    r = np.linalg.norm(positions, axis=1)
     far = r >= 1.0
     expect = np.ones(H.nsites)
-    expect[far] = r[far] ** (-graph.dim / 0.5) * (H.positions[far, 0] / r[far]) ** 2
+    expect[far] = r[far] ** (-graph.dim / 0.5) * (positions[far, 0] / r[far]) ** 2
     np.testing.assert_allclose(sample_potential(graph, theta_cos2(), 0.5, L), expect, rtol=1e-14)
 
     def fn(pos):
         return 1.0 + pos[:, 0] ** 2 + 2.0 * pos[:, -1] ** 2
 
-    np.testing.assert_array_equal(potential_from_function(graph, fn, L), fn(H.positions))
+    np.testing.assert_array_equal(potential_from_function(graph, fn, L), fn(positions))
     with pytest.raises(GraphError, match="radius"):
         assemble_truncated(graph, -1)
     with pytest.raises(GraphError, match="radius"):

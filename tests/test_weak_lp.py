@@ -67,7 +67,7 @@ def test_quasinorm_matches_sweep_oracle(values, p):
 @given(finite_values, st.floats(min_value=0.01, max_value=100.0), exponents)
 def test_quasinorm_homogeneity(values, c, p):
     seq = WeightedSequence(values)
-    assert weak_quasinorm(seq.scaled(c), p) == pytest.approx(c * weak_quasinorm(seq, p), rel=1e-12)
+    assert weak_quasinorm(WeightedSequence(seq.values * c), p) == pytest.approx(c * weak_quasinorm(seq, p), rel=1e-12)
 
 
 @given(finite_values, st.floats(min_value=0.0, max_value=1e6), exponents)
@@ -97,15 +97,34 @@ def test_dp_window_reciprocal_sequence():
 def test_dp_window_scaling():
     seq = WeightedSequence([1.0 / m for m in range(1, 101)])
     base = dp_window(seq, 2.0, (0.02, 0.5))
-    scaled = dp_window(seq.scaled(3.0), 2.0, (0.06, 1.5))
+    scaled = dp_window(WeightedSequence(seq.values * 3.0), 2.0, (0.06, 1.5))
     assert scaled.sup_est == pytest.approx(9.0 * base.sup_est, rel=1e-12)
     assert scaled.inf_est == pytest.approx(9.0 * base.inf_est, rel=1e-12)
+
+
+@given(
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 3.5]) | st.floats(0.0, 5.0), min_size=1, max_size=60),
+    exponents,
+    st.floats(0.01, 2.0),
+    st.floats(1.0, 3.0),
+)
+def test_dp_window_matches_per_jump_count(values, p, s_lo, width):
+    # reference: #{values >= a} counted separately at each jump point a
+    seq = WeightedSequence(values)
+    window = (s_lo, s_lo + width)
+    est = dp_window(seq, p, window)
+    jumps = np.unique(seq.values[seq.values > 0.0])
+    inside = jumps[(jumps > window[0]) & (jumps < window[1])]
+    assert est.sample_count == inside.size
+    if inside.size:
+        samples = inside**p * np.array([np.count_nonzero(seq.values >= a) for a in inside], dtype=float)
+        assert (est.sup_est, est.inf_est) == (samples.max(), samples.min())
 
 
 def test_dp_window_empty_window_flagged():
     seq = WeightedSequence([1.0, 1.0, 1.0])
     est = dp_window(seq, 1.0, (0.1, 0.5))
-    assert est.zero_samples
+    assert est.sample_count == 0
     assert est.sup_est == est.inf_est == 0.0
 
 
