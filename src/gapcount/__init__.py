@@ -1,6 +1,7 @@
 """Band structure, spectral gaps and large-coupling eigenvalue counting
 for discrete periodic Schrodinger operators on Z^d-periodic graphs."""
 
+from .errors import GapcountError
 from .floquet import (
     BandStructure,
     Gap,

@@ -2,7 +2,7 @@
 
 Subcommands: bands | gaps | regularity | gamma | edge-conditions | count |
 asymptotics | pdo | weaklp | verify.  Exit codes: 0 success, 1 verification
-failure, 2 usage or configuration error.
+failure, 2 a usage error or any other violated gapcount precondition.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
+from .errors import GapcountError
 from .floquet import (
     band_structure,
     bands_to_csv,
@@ -27,7 +28,6 @@ from .floquet import (
 from .gamma import edge_integral, gamma_coefficient, weak_edge_membership
 from .pdo_lab import commutator_decay, cwikel_ratio, dp_vs_formula, homogeneous_symbol, parse_torus_function
 from .periodic_graph import (
-    GraphError,
     GraphSpec,
     assemble_truncated,
     build_graph,
@@ -36,11 +36,11 @@ from .periodic_graph import (
     sample_potential,
     square_lattice,
 )
-from .spectral_counts import CountingError, asymptotic_table, bs_matrix, counting_bs, counting_direct
+from .spectral_counts import asymptotic_table, bs_matrix, counting_bs, counting_direct
 from .weak_lp import WeightedSequence, membership_verdicts, weak_quasinorm
 
 
-class UsageError(ValueError):
+class UsageError(GapcountError):
     """Bad flags or configuration; maps to exit code 2."""
 
 
@@ -123,12 +123,13 @@ def _cmd_gamma(args) -> int:
     graph = _load_graph(args.graph)
     bands = band_structure(graph, args.grid)
     theta = parse_theta(args.theta)
-    res = gamma_coefficient(bands, args.lam, args.p, _parse_sign(args.sign), theta)
+    sign = _parse_sign(args.sign)
+    res = gamma_coefficient(bands, args.lam, args.p, sign, theta)
     line = ",".join(
         [
-            format_real(res.lam),
-            format_real(res.p),
-            res.sign,
+            format_real(args.lam),
+            format_real(args.p),
+            sign,
             format_real(res.value),
             format_real(float(res.torus_integrals.sum())),
             format_real(res.sphere_integral),
@@ -201,7 +202,7 @@ def _cmd_pdo(args) -> int:
     f = parse_torus_function(args.f)
     if args.mode == "dp":
         g = parse_torus_function(args.g)
-        est, formula = dp_vs_formula(f, args.v, g, args.p, args.L, args.M or 8 * args.L)
+        est, formula = dp_vs_formula(f, args.v, g, args.p, args.L, args.M or 8 * args.L, d=args.dim)
         header = "L,M,dp_sup,dp_inf,formula\n"
         line = ",".join(
             [str(args.L), str(args.M or 8 * args.L), format_real(est.sup_est), format_real(est.inf_est), format_real(formula)]
@@ -217,7 +218,10 @@ def _cmd_pdo(args) -> int:
     if args.mode == "commutator":
         W = homogeneous_symbol(args.v, args.p, args.dim, args.L)
         # one integer per axis, comma-separated: "1" in d = 1, "1,0" in d = 2
-        coeffs = {tuple(map(int, t.split(","))): complex(c) for t, c in json.loads(args.coeffs).items()}
+        try:
+            coeffs = {tuple(map(int, t.split(","))): complex(c) for t, c in json.loads(args.coeffs).items()}
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise UsageError(f"--coeffs must map lags like \"1,0\" to numbers: {exc}") from exc
         rep = commutator_decay(coeffs, W, args.p, args.L)
         lines = ["m,s_m,m^{1/p}s_m"]
         for i, (s, pr) in enumerate(zip(rep.svalues.values, rep.products), start=1):
@@ -230,7 +234,7 @@ def _cmd_pdo(args) -> int:
 def _cmd_weaklp(args) -> int:
     try:
         values = np.loadtxt(args.values).ravel()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read values file: {exc}") from exc
     seq = WeightedSequence(values)
     q = weak_quasinorm(seq, args.p)
@@ -332,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--M", type=int, default=None)
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=int, default=1, help="lattice dimension d of the symbol, in every mode")
     p.add_argument("--coeffs", default='{"1": 1.0}', help='JSON lag->coefficient map, lags like "1" or "1,0"')
     p.set_defaults(fn=_cmd_pdo)
 
@@ -358,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, GraphError, CountingError, ValueError, OSError) as exc:
+    except (GapcountError, OSError) as exc:
         print(f"gapcount: error: {exc}", file=sys.stderr)
         return 2
 

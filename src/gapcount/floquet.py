@@ -24,6 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import GapcountError
 from .periodic_graph import PeriodicGraph
 
 _CHUNK = 1 << 18
@@ -37,8 +38,8 @@ _HESSIAN_TOL = 1e-6
 _MAX_EXTREMIZERS = 64
 
 
-class EigenError(ValueError):
-    """Input violates the Hermitian eigensolver contract."""
+class EigenError(GapcountError):
+    """Input violates the contract of the fiber, band or eigensolver routines."""
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def fiber_matrix(graph: PeriodicGraph, k: Sequence[float]) -> np.ndarray:
     """The (nu, nu) complex Hermitian fiber h(k)."""
     k = np.asarray(k, dtype=float)
     if k.shape != (graph.dim,):
-        raise ValueError("quasimomentum has wrong dimension")
+        raise EigenError("quasimomentum has wrong dimension")
     return _assemble(graph, _phases(graph, k), ())
 
 
@@ -194,7 +195,7 @@ def torus_bands(graph: PeriodicGraph, M: int) -> Iterator[np.ndarray]:
 
 def _check_grid(M: int) -> None:
     if M < 2:
-        raise ValueError("grid size must be >= 2")
+        raise EigenError("grid size must be >= 2")
 
 
 def band_structure(graph: PeriodicGraph, M: int) -> BandStructure:
@@ -232,15 +233,15 @@ def gap_edge(gap: Gap, which: str, nu: int) -> GapEdge:
     """
     if which == "lower":
         if not math.isfinite(gap.lower):
-            raise ValueError("gap has no finite lower edge")
+            raise EigenError("gap has no finite lower edge")
         band = (gap.band_index - 2) if gap.kind == "interior" else nu - 1
         return GapEdge(gap.lower, "+", band)
     if which == "upper":
         if not math.isfinite(gap.upper):
-            raise ValueError("gap has no finite upper edge")
+            raise EigenError("gap has no finite upper edge")
         band = (gap.band_index - 1) if gap.kind == "interior" else 0
         return GapEdge(gap.upper, "-", band)
-    raise ValueError("which must be 'lower' or 'upper'")
+    raise EigenError("which must be 'lower' or 'upper'")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import GapcountError
 from .floquet import BandStructure, GapEdge, torus_bands
 from .floquet import band_values  # noqa: F401  unused; perfbench/test_perfbench.py asserts this binding
 from .periodic_graph import PeriodicGraph, ThetaProfile
@@ -26,18 +27,18 @@ from .periodic_graph import PeriodicGraph, ThetaProfile
 # with twice as many equispaced azimuths.
 _CIRCLE_POINTS = 512
 _POLAR_POINTS = 64
-_WEAK_LEVELS = 40  # log-spaced levels s of the weak-membership check
+# The weak-membership check: log-spaced levels s >= 1, and its torus grid
+# per dimension d, 64 for d > 3.
+_WEAK_LEVELS = 40
+_WEAK_GRID = {1: 4096, 2: 512, 3: 96}
 
 
-class GammaError(ValueError):
-    """Evaluation point incompatible with the requested coefficient."""
+class GammaError(GapcountError):
+    """Evaluation point or parameter incompatible with the requested quantity."""
 
 
 @dataclass(frozen=True)
 class GammaResult:
-    lam: float
-    p: float
-    sign: str
     torus_integrals: np.ndarray  # per band, on the finer grid
     sphere_integral: float
     value: float
@@ -47,13 +48,15 @@ class GammaResult:
 
 @dataclass(frozen=True)
 class EdgeIntegralReport:
-    edge: GapEdge
-    kappa: float | None
     grids: tuple[int, ...]
     estimates: np.ndarray  # summed over bands, one per grid
     verdict: str  # "convergent" | "divergent" | "inconclusive"
-    weak_sup: float | None = None
-    weak_member: bool | None = None
+
+
+@dataclass(frozen=True)
+class WeakMembership:
+    weak_sup: float  # sup_s s * mes{F > s}^{1/p} over the levels
+    weak_member: bool
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class EdgeGammaResult:
 def sphere_integral(theta: ThetaProfile | Callable, p: float, d: int) -> float:
     """int_{S^{d-1}} theta(w)^p dS(w) for d in {1, 2, 3}."""
     if p <= 0:
-        raise ValueError("p must be positive")
+        raise GammaError("p must be positive")
     fn = theta if callable(theta) else None
     if fn is None:
         raise TypeError("theta must be callable")
@@ -99,7 +102,7 @@ def sphere_integral(theta: ThetaProfile | Callable, p: float, d: int) -> float:
         )
         vals = np.asarray(fn(dirs), dtype=float).reshape(npol, nazi)
         return float(np.sum(w @ vals) * (2.0 * math.pi / nazi))
-    raise ValueError(f"unsupported dimension d={d}")
+    raise GammaError(f"unsupported dimension d={d}")
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +116,7 @@ def _signed_part(lam: float, E: np.ndarray, sign: str) -> np.ndarray:
         return np.maximum(diff, 0.0)
     if sign == "-":
         return np.maximum(-diff, 0.0)
-    raise ValueError("sign must be '+' or '-'")
+    raise GammaError("sign must be '+' or '-'")
 
 
 def _band_power_sums(graph: PeriodicGraph, lam: float, power: float, sign: str, M: int) -> np.ndarray:
@@ -140,7 +143,7 @@ def _gamma_on_grids(
     norm = graph.dim * (2.0 * math.pi) ** graph.dim
     value = fine.sum() * sphere / norm
     error = abs(fine.sum() - coarse.sum()) * sphere / norm
-    return GammaResult(lam, p, sign, fine, sphere, float(value), grids, float(error))
+    return GammaResult(fine, sphere, float(value), grids, float(error))
 
 
 def gamma_coefficient(
@@ -152,7 +155,7 @@ def gamma_coefficient(
 ) -> GammaResult:
     """Gamma_p^{sign}(lambda) at a point strictly outside every band."""
     if p <= 0:
-        raise ValueError("p must be positive")
+        raise GammaError("p must be positive")
     for s, (lo, hi) in enumerate(bands.band_extrema):
         if lo - 1e-12 <= lam <= hi + 1e-12:
             raise GammaError(
@@ -177,17 +180,17 @@ def edge_integral(
     the estimates keep growing; inconclusive otherwise.
     """
     if kappa < 0:
-        raise ValueError("kappa must be >= 0")
+        raise GammaError("kappa must be >= 0")
     graph = bands.graph
     if kappa == 0.0:
         vol = (2.0 * math.pi) ** graph.dim
         est = np.full(len(ladder), graph.nu * vol)
-        return EdgeIntegralReport(edge, kappa, tuple(ladder), est, "convergent")
+        return EdgeIntegralReport(tuple(ladder), est, "convergent")
     sums = np.array(
         [_band_power_sums(graph, edge.value, kappa, edge.sign, M).sum() for M in ladder]
     )
     verdict = _ladder_verdict(sums)
-    return EdgeIntegralReport(edge, kappa, tuple(ladder), sums, verdict)
+    return EdgeIntegralReport(tuple(ladder), sums, verdict)
 
 
 def _ladder_verdict(est: np.ndarray) -> str:
@@ -202,33 +205,27 @@ def _ladder_verdict(est: np.ndarray) -> str:
     return "inconclusive"
 
 
-def weak_edge_membership(
-    bands: BandStructure,
-    edge: GapEdge,
-    p: float,
-    *,
-    grid: int | None = None,
-) -> EdgeIntegralReport:
-    """Weak-L_{p,infty} membership check for (Lambda - E_s)_{+/-}^{-1}.
+def weak_edge_membership(bands: BandStructure, edge: GapEdge, p: float) -> WeakMembership:
+    """Weak-L_{p,infty} membership check for F = (Lambda - E_s)_{+/-}^{-1}.
 
     Estimates sup_s s * mes{k : F(k) > s}^{1/p} by level-set counting
-    over a logarithmic s-grid spanning [1, resolution-limited max].
+    over a logarithmic s-grid spanning [1, resolution-limited max].  No
+    level is below 1, so only the values F > 1 of the sweep are kept.
     """
     if p <= 0:
-        raise ValueError("p must be positive")
+        raise GammaError("p must be positive")
     graph = bands.graph
     d = graph.dim
-    M = grid or {1: 4096, 2: 512, 3: 96}.get(d, 64)
-    levels = []
+    M = _WEAK_GRID.get(d, 64)
+    above = []
     for E in torus_bands(graph, M):
         part = _signed_part(edge.value, E, edge.sign)
-        levels.append(1.0 / part[part > 0.0])
-    F = np.concatenate(levels)
+        above.append(1.0 / part[(part > 0.0) & (part < 1.0)])  # 1/part > 1 exactly there
+    F = np.sort(np.concatenate(above))
     cell = (2.0 * math.pi / M) ** d
-    smax = float(F.max())
-    sgrid = np.geomspace(1.0, max(smax, 2.0), _WEAK_LEVELS)
-    Fs = np.sort(F)
-    counts = F.size - np.searchsorted(Fs, sgrid, side="right")
+    # The largest F sets the top level only when it exceeds 2.
+    sgrid = np.geomspace(1.0, max(float(F[-1]) if F.size else 0.0, 2.0), _WEAK_LEVELS)
+    counts = F.size - np.searchsorted(F, sgrid, side="right")
     mes = counts * cell
     g = np.where(mes > 0.0, sgrid * mes ** (1.0 / p), 0.0)
     pos = g > 0.0
@@ -240,7 +237,7 @@ def weak_edge_membership(
         half = sg.size // 2
         slope = np.polyfit(sg[half:], gg[half:], 1)[0]
         member = bool(slope < 0.15)
-    return EdgeIntegralReport(edge, None, (M,), np.array([weak_sup]), "inconclusive", weak_sup, member)
+    return WeakMembership(weak_sup, member)
 
 
 def default_kappa(p: float) -> float:
@@ -253,7 +250,7 @@ def default_kappa(p: float) -> float:
         return p
     if p < 1.0:
         return 1.0
-    raise ValueError("for p = 1 the exponent kappa > 1 must be supplied explicitly")
+    raise GammaError("for p = 1 the exponent kappa > 1 must be supplied explicitly")
 
 
 def gamma_at_edge(

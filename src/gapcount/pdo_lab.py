@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import GapcountError
 from .floquet import torus_grid
 from .gamma import sphere_integral
 from .periodic_graph import box_cells, box_index, box_shift
@@ -23,7 +24,7 @@ from .weak_lp import DpWindowEstimate, WeightedSequence, dp_window, weak_quasino
 _SV_TOL = 1e-13
 
 
-class PdoError(ValueError):
+class PdoError(GapcountError):
     """Invalid symbol data or regime mismatch."""
 
 
@@ -62,7 +63,10 @@ def parse_torus_function(spec: str) -> TorusFunction:
     if spec == "halftorus":
         return torus_half_indicator()
     if spec.startswith("exp:"):
-        lags = tuple(int(x) for x in spec.split(":", 1)[1].split(","))
+        try:
+            lags = tuple(int(x) for x in spec.split(":", 1)[1].split(","))
+        except ValueError as exc:
+            raise PdoError(f"bad lag in torus function preset {spec!r}") from exc
         return torus_exp(lags)
     raise PdoError(f"unknown torus function preset {spec!r}")
 
@@ -152,13 +156,10 @@ def fourier_modsq_coeffs(h: TorusFunction, M: int, max_lag: int, d: int = 1) -> 
     F = np.abs(np.asarray(h(K), dtype=complex)) ** 2
     F = F.reshape((M,) * d)
     hat = np.fft.fftn(F) / M**d
-    side = 2 * max_lag + 1
-    out = np.empty((side,) * d, dtype=complex)
-    for idx in np.ndindex(*(side,) * d):
-        r = tuple(i - max_lag for i in idx)
-        phase = np.exp(1j * math.pi * sum(r))
-        out[idx] = phase * hat[tuple(ri % M for ri in r)]
-    return out
+    r = np.arange(-max_lag, max_lag + 1)
+    # the grid starts at -pi, so lag r picks up the phase e^{i pi (r_1 + ... + r_d)}
+    phase = np.exp(1j * math.pi * sum(np.ix_(*(r,) * d)))
+    return phase * hat[np.ix_(*(r % M,) * d)]
 
 
 def _coeff_matrix(c: np.ndarray, points: np.ndarray, max_lag: int) -> np.ndarray:
@@ -256,8 +257,7 @@ def dp_vs_formula(
     W = homogeneous_symbol(v, p, d, L)
     report = pdo_singular_values(SymbolTriple(f, g, W, p, M))
     if len(report.svalues) == 0:
-        zero = DpWindowEstimate(p, (0.0, 1.0), 0.0, 0.0, 0)
-        return zero, 0.0
+        return DpWindowEstimate(0.0, 0.0, 0), 0.0
     est = dp_window(report.svalues, p, default_dp_window(report.svalues))
     K = torus_grid(d, M)
     fg = np.abs(np.asarray(f(K)) * np.asarray(g(K))) ** p

@@ -25,8 +25,10 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import GapcountError
 
-class GraphError(ValueError):
+
+class GraphError(GapcountError):
     """Malformed graph specification or invalid potential data."""
 
 
@@ -75,7 +77,11 @@ class GraphSpec:
     @classmethod
     def from_json(cls, path: str | Path) -> "GraphSpec":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise GraphError(f"graph file is not JSON: {exc}") from exc
+        return cls.from_dict(doc)
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,6 @@ class ThetaProfile:
 
     fn: Callable[[np.ndarray], np.ndarray]
     sup: float
-    name: str = "theta"
 
     def __call__(self, directions: np.ndarray) -> np.ndarray:
         u = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -128,11 +133,11 @@ class ThetaProfile:
 
 
 def theta_const(c: float) -> ThetaProfile:
-    return ThetaProfile(lambda u: np.full(u.shape[0], float(c)), float(c), f"const:{c}")
+    return ThetaProfile(lambda u: np.full(u.shape[0], float(c)), float(c))
 
 
 def theta_cos2() -> ThetaProfile:
-    return ThetaProfile(lambda u: u[:, 0] ** 2, 1.0, "cos2")
+    return ThetaProfile(lambda u: u[:, 0] ** 2, 1.0)
 
 
 def theta_table(path: str | Path) -> ThetaProfile:
@@ -140,7 +145,10 @@ def theta_table(path: str | Path) -> ThetaProfile:
 
     Lookup is nearest-direction piecewise constant.
     """
-    rows = np.loadtxt(path, ndmin=2)
+    try:
+        rows = np.loadtxt(path, ndmin=2)
+    except ValueError as exc:
+        raise GraphError(f"malformed theta table {path}: {exc}") from exc
     dirs = rows[:, :-1]
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(norms == 0):
@@ -152,12 +160,16 @@ def theta_table(path: str | Path) -> ThetaProfile:
         idx = np.argmax(u @ dirs.T, axis=1)
         return vals[idx]
 
-    return ThetaProfile(fn, float(vals.max()), f"table:{path}")
+    return ThetaProfile(fn, float(vals.max()))
 
 
 def parse_theta(spec: str) -> ThetaProfile:
     if spec.startswith("const:"):
-        return theta_const(float(spec.split(":", 1)[1]))
+        try:
+            c = float(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise GraphError(f"bad theta constant in {spec!r}") from exc
+        return theta_const(c)
     if spec == "cos2":
         return theta_cos2()
     if spec.startswith("table:"):

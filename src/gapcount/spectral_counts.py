@@ -21,6 +21,8 @@ Two independent routes, neither of which forms a dense n x n array:
 
 Every counting function takes H_L either as a FiniteHamiltonian or as a
 symmetric matrix, sparse or dense, and V as a float array of site values.
+Each public call converts and checks H_L, V, tau and sign once, and the
+steps below it take the checked CSC matrix.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
+from .errors import GapcountError
 from .floquet import Gap, band_structure, find_gaps, format_real
 from .gamma import GammaResult, gamma_coefficient
 from .periodic_graph import (
@@ -62,7 +65,7 @@ _LADDER_DEPTH = 12
 _SUPPORT_C = 10.0
 
 
-class CountingError(ValueError):
+class CountingError(GapcountError):
     """Precondition violation in a counting operation."""
 
 
@@ -119,8 +122,7 @@ class CountingTable:
 @dataclass(frozen=True)
 class EdgeCountResult:
     estimate: int
-    lambdas: np.ndarray
-    counts: np.ndarray
+    counts: np.ndarray  # one per rung of default_lambda_ladder
     stabilized: bool
 
 
@@ -149,6 +151,15 @@ def _potential(V: np.ndarray, nsites: int) -> np.ndarray:
     return v
 
 
+def _coupling(tau: float, sign: str) -> float:
+    """The signed coupling +tau or -tau of H_L +/- tau V."""
+    if tau <= 0:
+        raise CountingError("tau must be positive")
+    if sign not in ("+", "-"):
+        raise CountingError("sign must be '+' or '-'")
+    return tau if sign == "+" else -tau
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue counting below a shift
 
@@ -170,12 +181,16 @@ def _ldlt_negative_pivots(M: sp.csc_matrix, ordering: str) -> int | None:
 
 
 def inertia(A: Matrix, x: float) -> Inertia:
-    """#eigenvalues of the symmetric matrix A strictly below x, and the route.
+    """#eigenvalues of the symmetric matrix A strictly below x, and the route."""
+    return _inertia(_symmetric_matrix(A), x)
+
+
+def _inertia(A: sp.csc_matrix, x: float) -> Inertia:
+    """inertia() of a matrix already checked by _symmetric_matrix.
 
     With diagonal pivoting P (A - xI) P^T = L U, and diag(U) is the D of an
     LDL^T, so its negative entries count the eigenvalues below x.
     """
-    A = _symmetric_matrix(A)
     n = A.shape[0]
     M = (A - x * sp.identity(n, format="csc")).tocsc()
     if n:
@@ -194,8 +209,8 @@ def eigencount_below(A: Matrix, x: float) -> int:
 
 def _check_resolvent_point(A: sp.csc_matrix, lam: float) -> int:
     """Reject lambda within 1e-8 of the spectrum of A; else #eigenvalues below it."""
-    below = inertia(A, lam - _RESOLVENT_TOL).below
-    if inertia(A, lam + _RESOLVENT_TOL).below > below:
+    below = _inertia(A, lam - _RESOLVENT_TOL).below
+    if _inertia(A, lam + _RESOLVENT_TOL).below > below:
         raise CountingError(
             f"lambda={lam} is within {_RESOLVENT_TOL} of an eigenvalue of H_L"
         )
@@ -232,7 +247,6 @@ class BSMatrix:
     the eigenvalues beyond a threshold and caches them per sign.
     """
 
-    lam: float
     support: np.ndarray  # site indices with V > 0
     sqrtv: np.ndarray  # V^{1/2} on the support
     nsites: int
@@ -345,7 +359,7 @@ def bs_matrix(H: Matrix, V: np.ndarray, lam: float) -> BSMatrix:
     v = _potential(V, n)
     below = _check_resolvent_point(A, lam)
     support = np.flatnonzero(v > 0.0)
-    X = BSMatrix(lam, support, np.sqrt(v[support]), n, below)
+    X = BSMatrix(support, np.sqrt(v[support]), n, below)
     if support.size:
         X._lu = splu((lam * sp.identity(n, format="csc") - A).tocsc(), permc_spec="MMD_AT_PLUS_A")
     return X
@@ -353,10 +367,7 @@ def bs_matrix(H: Matrix, V: np.ndarray, lam: float) -> BSMatrix:
 
 def counting_bs(X: BSMatrix, tau: float, sign: str) -> Count:
     """n_{+/-}(1/tau, X): eigenvalues of X beyond the threshold 1/tau."""
-    if tau <= 0:
-        raise CountingError("tau must be positive")
-    if sign not in ("+", "-"):
-        raise CountingError("sign must be '+' or '-'")
+    _coupling(tau, sign)  # checks tau and sign
     thr = 1.0 / tau
     mu = X.tail(sign, thr)  # eigenvalues of +X or -X
     value = int(np.count_nonzero(mu > thr))
@@ -382,23 +393,23 @@ def counting_direct(
     `base`, when given, is the number of eigenvalues of H_L below lambda,
     counted by a caller that has already checked lambda against sigma(H_L).
     """
-    if tau <= 0:
-        raise CountingError("tau must be positive")
-    if sign not in ("+", "-"):
-        raise CountingError("sign must be '+' or '-'")
+    t = _coupling(tau, sign)
     A = _symmetric_matrix(H)
-    v = _potential(V, A.shape[0])
+    return Count(_direct_count(A, _potential(V, A.shape[0]), lam, t, base), False)
+
+
+def _direct_count(A: sp.csc_matrix, v: np.ndarray, lam: float, t: float, base: int | None = None) -> int:
+    """counting_direct() for checked operands and the signed coupling t = +/-tau."""
     if base is None:
         base = _check_resolvent_point(A, lam)
-    t = tau if sign == "+" else -tau
-    shifted = inertia(A + sp.diags(t * v), lam).below
-    value = base - shifted if sign == "+" else shifted - base
+    shifted = _inertia(A + sp.diags(t * v), lam).below
+    value = base - shifted if t > 0 else shifted - base
     if value < 0:
         raise CountingError(
-            f"negative inertia difference {value} at lambda={lam}, tau={tau}: "
+            f"negative inertia difference {value} at lambda={lam}, tau={abs(t)}: "
             "impossible for V >= 0, so a count is wrong"
         )
-    return Count(value, False)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -425,23 +436,15 @@ def default_lambda_ladder(gap: Gap, sign: str) -> np.ndarray:
     raise CountingError("sign must be '+' or '-'")
 
 
-def edge_counting(
-    H: Matrix,
-    V: np.ndarray,
-    gap: Gap,
-    tau: float,
-    sign: str,
-    lambda_ladder: Sequence[float] | None = None,
-) -> EdgeCountResult:
+def edge_counting(H: Matrix, V: np.ndarray, gap: Gap, tau: float, sign: str) -> EdgeCountResult:
     """Monotone lambda-limit of the counting function at a gap edge."""
-    lams = (
-        np.asarray(lambda_ladder, dtype=float)
-        if lambda_ladder is not None
-        else default_lambda_ladder(gap, sign)
-    )
-    counts = np.array([counting_direct(H, V, lam, tau, sign).value for lam in lams])
+    lams = default_lambda_ladder(gap, sign)
+    t = _coupling(tau, sign)
+    A = _symmetric_matrix(H)
+    v = _potential(V, A.shape[0])
+    counts = np.array([_direct_count(A, v, lam, t) for lam in lams])
     stabilized = counts.size >= 2 and counts[-1] == counts[-2]
-    return EdgeCountResult(int(counts[-1]), lams, counts, bool(stabilized))
+    return EdgeCountResult(int(counts[-1]), counts, bool(stabilized))
 
 
 def asymptotic_table(
@@ -457,6 +460,7 @@ def asymptotic_table(
 ) -> CountingTable:
     """Stabilization-in-L counting table compared against tau^p Gamma."""
     tau_list = list(tau_list)
+    couplings = [_coupling(tau, sign) for tau in tau_list]
     L_list = sorted(L_list)
     if not L_list or any(b <= a for a, b in zip(L_list, L_list[1:])):
         raise CountingError("L_list must be strictly increasing")
@@ -475,16 +479,15 @@ def asymptotic_table(
 
     per_L: dict[int, tuple[list[int], list[int], list[bool]]] = {}
     for L in L_list:
-        H = assemble_truncated(graph, L)
+        A = _symmetric_matrix(assemble_truncated(graph, L))
         V = sample_potential(graph, theta, p, L)
-        X = bs_matrix(H, V, lam)  # checks lambda against sigma(H_L)
+        X = bs_matrix(A, V, lam)  # public, so perfbench times it; checks V and lambda
         # Widest threshold first, so that one partial spectrum serves every tau.
         cbs = {tau: counting_bs(X, tau, sign) for tau in sorted(tau_list, reverse=True)}
         nbs, ndir, bnd = [], [], []
-        for tau in tau_list:
-            cd = counting_direct(H, V, lam, tau, sign, base=X.below)
+        for tau, t in zip(tau_list, couplings):
             nbs.append(cbs[tau].value)
-            ndir.append(cd.value)
+            ndir.append(_direct_count(A, V, lam, t, X.below))
             bnd.append(cbs[tau].boundary)
         per_L[L] = (nbs, ndir, bnd)
 

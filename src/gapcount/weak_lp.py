@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GapcountError
+
 # Smallest rank of the membership checkpoints; a verdict needs twice as many values.
 _MIN_TAIL = 8
 
@@ -24,9 +26,9 @@ class WeightedSequence:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
-            raise ValueError("expected a one-dimensional sequence")
+            raise GapcountError("expected a one-dimensional sequence")
         if v.size and v.min() < 0.0:
-            raise ValueError("sequence values must be nonnegative")
+            raise GapcountError("sequence values must be nonnegative")
         object.__setattr__(self, "values", np.sort(v)[::-1].copy())
 
     def __len__(self) -> int:
@@ -35,8 +37,6 @@ class WeightedSequence:
 
 @dataclass(frozen=True)
 class DpWindowEstimate:
-    p: float
-    window: tuple[float, float]
     sup_est: float
     inf_est: float
     sample_count: int  # jump points inside the window; 0 leaves both estimates 0
@@ -51,7 +51,7 @@ class MembershipVerdict:
 def distribution(seq: WeightedSequence, s: float) -> int:
     """#{values > s} (strict inequality)."""
     if s <= 0:
-        raise ValueError("s must be positive")
+        raise GapcountError("s must be positive")
     # values sorted descending: count of entries strictly above s
     return int(np.searchsorted(-seq.values, -s, side="left"))
 
@@ -62,7 +62,7 @@ def weak_quasinorm(seq: WeightedSequence, p: float) -> float:
     Equals max_m a_(m) * m^{1/p} over the descending rearrangement.
     """
     if p <= 0:
-        raise ValueError("p must be positive")
+        raise GapcountError("p must be positive")
     n = len(seq)
     if n == 0:
         return 0.0
@@ -78,19 +78,19 @@ def dp_window(seq: WeightedSequence, p: float, window: tuple[float, float]) -> D
     supremum over each constancy interval is attained.
     """
     if p <= 0:
-        raise ValueError("p must be positive")
+        raise GapcountError("p must be positive")
     s_lo, s_hi = window
     if not (0.0 < s_lo < s_hi):
-        raise ValueError("window must satisfy 0 < s_lo < s_hi")
+        raise GapcountError("window must satisfy 0 < s_lo < s_hi")
     vals = seq.values
     distinct = np.unique(vals[vals > 0.0])
     inside = distinct[(distinct > s_lo) & (distinct < s_hi)]
     if inside.size == 0:
-        return DpWindowEstimate(p, window, 0.0, 0.0, 0)
+        return DpWindowEstimate(0.0, 0.0, 0)
     # left limit of the count at a jump: #{values >= a}, values descending
     counts = np.searchsorted(-vals, -inside, side="right").astype(float)
     samples = inside**p * counts
-    return DpWindowEstimate(p, window, float(samples.max()), float(samples.min()), int(inside.size))
+    return DpWindowEstimate(float(samples.max()), float(samples.min()), int(inside.size))
 
 
 def membership_verdicts(seq: WeightedSequence, p: float) -> MembershipVerdict:
@@ -101,10 +101,10 @@ def membership_verdicts(seq: WeightedSequence, p: float) -> MembershipVerdict:
     toward zero.
     """
     if p <= 0:
-        raise ValueError("p must be positive")
+        raise GapcountError("p must be positive")
     n = len(seq)
     if n < 2 * _MIN_TAIL:
-        raise ValueError("sequence too short for a trend verdict")
+        raise GapcountError("sequence too short for a trend verdict")
     m = np.arange(1, n + 1, dtype=float)
     products = seq.values * m ** (1.0 / p)
     # geometric checkpoints over [_MIN_TAIL, n]

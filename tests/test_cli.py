@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import gapcount.cli
 from gapcount.cli import main
-from gapcount.pdo_lab import commutator_decay, homogeneous_symbol
+from gapcount.floquet import format_real
+from gapcount.pdo_lab import commutator_decay, dp_vs_formula, homogeneous_symbol, torus_one
 
 CHAIN = {
     "dim": 1,
@@ -182,3 +184,57 @@ def test_verify_subset(capsys):
     assert main(["verify", "--only", "1", "3"]) == 0
     out = capsys.readouterr().out
     assert "2/2 criteria passed" in out
+
+
+def test_pdo_dp_mode_honours_dim(capsys):
+    assert main(["pdo", "--mode", "dp", "--p", "1", "--L", "4", "--M", "32", "--dim", "2"]) == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    assert header == "L,M,dp_sup,dp_inf,formula"
+    est, formula = dp_vs_formula(torus_one(), 1.0, torus_one(), 1.0, 4, 32, d=2)
+    assert formula == pytest.approx(math.pi, rel=1e-12)
+    assert row == ",".join(["4", "32", format_real(est.sup_est), format_real(est.inf_est), format_real(formula)])
+
+
+def test_edge_conditions_weak_json(capsys):
+    assert main(["edge-conditions", "--graph", "square:1", "--kappa", "1", "--p", "0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["edge", "kappa", "grids", "estimates", "verdict", "weak"]
+    assert doc["weak"] == {"p": 0.5, "sup": 4.37792766328076, "member": True}
+
+
+_GAMMA = ["gamma", "--lambda", "-1", "--sign", "minus"]
+# Files named here are written to the working directory by the test.
+PRECONDITION_CASES = {
+    "gamma-negative-p": _GAMMA + ["--graph", "square:1", "--p", "-1"],
+    "gamma-grid-1": _GAMMA + ["--graph", "square:1", "--p", "1", "--grid", "1"],
+    "gamma-dimension-4": _GAMMA + ["--graph", "square:4", "--p", "1", "--grid", "4"],
+    "gamma-theta-not-a-number": _GAMMA + ["--graph", "square:1", "--p", "1", "--theta", "const:abc"],
+    "edge-negative-kappa": ["edge-conditions", "--graph", "square:1", "--kappa", "-1"],
+    "edge-no-lower-edge": ["edge-conditions", "--graph", "square:1", "--kappa", "1", "--which", "lower"],
+    "weaklp-negative-value": ["weaklp", "--values", "neg.txt", "--p", "1"],
+    "weaklp-non-numeric-value": ["weaklp", "--values", "abc.txt", "--p", "1"],
+    "weaklp-p-zero": ["weaklp", "--values", "good.txt", "--p", "0"],
+    "pdo-coeffs-not-json": ["pdo", "--mode", "commutator", "--p", "1", "--L", "4", "--coeffs", "notjson"],
+    "pdo-coeffs-bad-lag": ["pdo", "--mode", "commutator", "--p", "1", "--L", "4", "--coeffs", '{"x": 1}'],
+    "graph-file-not-json": ["bands", "--graph", "notjson.json"],
+}
+
+
+@pytest.mark.parametrize("case", list(PRECONDITION_CASES))
+def test_precondition_errors_exit_2(case, tmp_path, monkeypatch, capsys):
+    (tmp_path / "notjson.json").write_text("not json {")
+    (tmp_path / "neg.txt").write_text("1.0\n-2.0\n")
+    (tmp_path / "abc.txt").write_text("1.0\nabc\n")
+    (tmp_path / "good.txt").write_text("\n".join(str(1.0 / m) for m in range(1, 101)))
+    monkeypatch.chdir(tmp_path)
+    assert main(PRECONDITION_CASES[case]) == 2
+    assert capsys.readouterr().err.startswith("gapcount: error: ")
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(bands):
+        raise ValueError("shapes (3,) and (4,) not aligned")
+
+    monkeypatch.setattr(gapcount.cli, "find_gaps", broken)
+    with pytest.raises(ValueError, match="not aligned"):
+        main(["gaps", "--graph", "square:1", "--grid", "8"])

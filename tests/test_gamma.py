@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gapcount.gamma import (
     sphere_integral,
     weak_edge_membership,
 )
-from gapcount.periodic_graph import ThetaProfile, square_lattice, theta_const
+from gapcount.periodic_graph import ThetaProfile, dimer_chain, square_lattice, theta_const
 
 
 def test_sphere_integral_constants():
@@ -98,7 +99,7 @@ def test_cubic_lattice_edge_convergent():
 def test_weak_membership_chain_small_p():
     bands = band_structure(square_lattice(1), 64)
     edge = gap_edge(find_gaps(bands)[0], "upper", 1)
-    rep = weak_edge_membership(bands, edge, 0.5, grid=2048)
+    rep = weak_edge_membership(bands, edge, 0.5)
     assert rep.weak_member is True
     assert rep.weak_sup is not None and rep.weak_sup > 0.0
 
@@ -106,7 +107,7 @@ def test_weak_membership_chain_small_p():
 def test_weak_membership_cubic_large_p_fails():
     bands = band_structure(square_lattice(3), 16)
     edge = gap_edge(find_gaps(bands)[0], "upper", 1)
-    rep = weak_edge_membership(bands, edge, 3.0, grid=64)
+    rep = weak_edge_membership(bands, edge, 3.0)
     assert rep.weak_member is False
 
 
@@ -174,3 +175,59 @@ def test_gamma_at_edge_convergent_reports_last_two_rungs():
     # At the edge the sums converge slowly, and the doubling difference
     # bounds the distance to the next rung.
     assert abs(res.gamma.value - cubic_gamma_trapezoid(0.0, 0.5, 256)) <= res.gamma.error
+
+
+def full_grid_weak_check(graph, edge, p, M):
+    """The weak check from one level value per grid point, concatenated and sorted."""
+    levels = []
+    for E in torus_bands(graph, M):
+        part = np.maximum(edge.value - E, 0.0) if edge.sign == "+" else np.maximum(E - edge.value, 0.0)
+        levels.append(1.0 / part[part > 0.0])
+    F = np.concatenate(levels)
+    sgrid = np.geomspace(1.0, max(float(F.max()), 2.0), 40)
+    mes = (F.size - np.searchsorted(np.sort(F), sgrid, side="right")) * (2.0 * math.pi / M) ** graph.dim
+    g = np.where(mes > 0.0, sgrid * mes ** (1.0 / p), 0.0)
+    pos = g > 0.0
+    sup = float(g[pos].max()) if pos.any() else 0.0
+    member = True
+    if np.count_nonzero(pos) >= 8:
+        sg, gg = np.log(sgrid[pos]), np.log(g[pos])
+        half = sg.size // 2
+        member = bool(np.polyfit(sg[half:], gg[half:], 1)[0] < 0.15)
+    return sup, member
+
+
+@pytest.mark.parametrize(
+    "graph, gap_index, which",
+    [
+        (square_lattice(1), 0, "upper"),
+        (square_lattice(2), 0, "upper"),
+        (square_lattice(2, 0.3), 0, "upper"),
+        (square_lattice(3), 0, "upper"),
+        (square_lattice(3), -1, "lower"),
+        (dimer_chain(), 1, "lower"),
+        (dimer_chain(), 1, "upper"),
+    ],
+    ids=["square1", "square2", "square2-Q0.3", "square3", "square3-top", "dimer-lower", "dimer-upper"],
+)
+def test_weak_membership_equals_the_full_grid_check(graph, gap_index, which):
+    bands = band_structure(graph, 32)
+    edge = gap_edge(find_gaps(bands)[gap_index], which, graph.nu)
+    M = {1: 4096, 2: 512, 3: 96}[graph.dim]
+    for p in (0.5, 1.0, 1.5, 3.0):
+        rep = weak_edge_membership(bands, edge, p)
+        assert (rep.weak_sup, rep.weak_member) == full_grid_weak_check(graph, edge, p, M)
+
+
+def test_weak_membership_holds_no_grid():
+    bands = band_structure(square_lattice(3), 16)
+    edge = gap_edge(find_gaps(bands)[0], "upper", 1)
+    tracemalloc.start()
+    try:
+        weak_edge_membership(bands, edge, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One float per point of the 96^3 grid alone takes 7 MB; with its sorted
+    # copy and the sweep's blocks the full-grid check peaks near 24 MB.
+    assert peak < 16e6

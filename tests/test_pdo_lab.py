@@ -51,6 +51,16 @@ def test_modsq_coeffs_two_term():
     np.testing.assert_allclose(c[6], 0.0, atol=1e-12)
 
 
+def test_modsq_coeffs_two_dimensional_lags():
+    # |1 + e^{i(k_1 + 2 k_2)}|^2 = 2 + e^{i(k_1 + 2 k_2)} + e^{-i(k_1 + 2 k_2)}
+    c = fourier_modsq_coeffs(torus_trig({(0, 0): 1.0, (1, 2): 1.0}), 32, 4, d=2)
+    assert c.shape == (9, 9)
+    expected = np.zeros((9, 9))
+    expected[4, 4] = 2.0
+    expected[4 + 1, 4 + 2] = expected[4 - 1, 4 - 2] = 1.0
+    np.testing.assert_allclose(c, expected, atol=1e-12)
+
+
 def test_modsq_aliasing_guard():
     with pytest.raises(PdoError):
         fourier_modsq_coeffs(torus_one(), 16, 8)

@@ -179,7 +179,7 @@ def test_potential_homogeneity_in_theta():
     g = square_lattice(2)
     v1 = sample_potential(g, theta_cos2(), 1.0, 3)
     two = theta_cos2()
-    doubled = type(two)(lambda u: 2.0 * u[:, 0] ** 2, 2.0, "2cos2")
+    doubled = type(two)(lambda u: 2.0 * u[:, 0] ** 2, 2.0)
     v2 = sample_potential(g, doubled, 1.0, 3)
     np.testing.assert_allclose(v2, 2.0 * v1)
 

@@ -366,13 +366,13 @@ def test_counting_direct_rejects_negative_potential():
 
 def test_counting_direct_raises_on_negative_difference(monkeypatch):
     H = np.diag([1.0, 3.0])
-    true_inertia = sc.inertia
+    true_inertia = sc._inertia
 
     def undercount_shifted(A, x):  # wrong only for H - tau V, whose diagonal starts 0.5
         res = true_inertia(A, x)
         return res._replace(below=res.below - 1) if A.diagonal()[0] != 1.0 else res
 
-    monkeypatch.setattr(sc, "inertia", undercount_shifted)
+    monkeypatch.setattr(sc, "_inertia", undercount_shifted)
     with pytest.raises(CountingError, match="negative inertia difference"):
         counting_direct(H, np.array([1.0, 0.0]), 2.0, 0.5, "-")
 
@@ -399,6 +399,51 @@ def test_counting_rejects_nonsymmetric_matrix():
         counting_direct(A, np.ones(2), -1.0, 1.0, "-")
     with pytest.raises(CountingError, match="symmetric"):
         bs_matrix(A, np.ones(2), -1.0)
+
+
+def _matrix_checks(monkeypatch, call) -> int:
+    seen = []
+    check = sc._symmetric_matrix
+
+    def spy(H):
+        seen.append(H)
+        return check(H)
+
+    monkeypatch.setattr(sc, "_symmetric_matrix", spy)
+    call()
+    monkeypatch.setattr(sc, "_symmetric_matrix", check)
+    return len(seen)
+
+
+def test_each_public_call_checks_the_matrix_once(monkeypatch):
+    graph = square_lattice(1)
+    H = assemble_truncated(graph, 60)
+    v = sample_potential(graph, theta_const(1.0), 1.0, 60)
+    gap = find_gaps(band_structure(graph, 32))[0]
+    assert _matrix_checks(monkeypatch, lambda: counting_direct(H, v, -1.0, 20.0, "-")) == 1
+    assert _matrix_checks(monkeypatch, lambda: bs_matrix(H, v, -1.0)) == 1
+    assert _matrix_checks(monkeypatch, lambda: inertia(H, -1.0)) == 1
+    assert _matrix_checks(monkeypatch, lambda: edge_counting(H, v, gap, 20.0, "-")) == 1
+    table = lambda: asymptotic_table(  # noqa: E731
+        graph, theta_const(1.0), p=1.0, lam=-1.0, sign="-", tau_list=(1.0, 2.0, 3.0), L_list=(30, 40), grid=32
+    )
+    assert _matrix_checks(monkeypatch, table) <= 4
+
+
+@pytest.mark.parametrize("tau, sign", [(0.0, "-"), (-1.0, "+"), (1.0, "plus")])
+def test_counting_entries_reject_bad_tau_and_sign(tau, sign):
+    graph = square_lattice(1)
+    H = assemble_truncated(graph, 20)
+    v = sample_potential(graph, theta_const(1.0), 1.0, 20)
+    gap = Gap(-2.0, 0.0, "interior", 2, 0.1)  # both edges finite, so either sign has a ladder
+    with pytest.raises(CountingError, match="tau|sign"):
+        counting_direct(H, v, -1.0, tau, sign)
+    with pytest.raises(CountingError, match="tau|sign"):
+        counting_bs(bs_matrix(H, v, -1.0), tau, sign)
+    with pytest.raises(CountingError, match="tau|sign"):
+        edge_counting(H, v, gap, tau, sign)
+    with pytest.raises(CountingError, match="tau|sign"):
+        asymptotic_table(graph, theta_const(1.0), p=1.0, lam=-1.0, sign=sign, tau_list=(tau,), L_list=(10, 20))
 
 
 # ---------------------------------------------------------------------------
