@@ -19,11 +19,11 @@ from . import acceptance
 from .errors import GapcountError
 from .floquet import (
     band_structure,
-    bands_to_csv,
     check_gap_edge_regularity,
     find_gaps,
-    format_real,
     gap_edge,
+    torus_bands,
+    torus_grid,
 )
 from .gamma import edge_integral, gamma_coefficient, weak_edge_membership
 from .pdo_lab import commutator_decay, cwikel_ratio, dp_vs_formula, homogeneous_symbol, parse_torus_function
@@ -77,6 +77,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_csv(header: str, rows, out: str | None) -> None:
+    """The header line, then one line per row: floats as 17-significant-digit decimals, the rest by str."""
+    lines = [header] + [",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row) for row in rows]
+    _emit("\n".join(lines) + "\n", out)
+
+
+def _write_json(doc, out: str | None) -> None:
+    _emit(json.dumps(doc, indent=2) + "\n", out)
+
+
 def _gap_json(g) -> dict:
     return {
         "lower": None if not math.isfinite(g.lower) else g.lower,
@@ -87,35 +97,46 @@ def _gap_json(g) -> dict:
     }
 
 
+def _indexed_gap(graph, args):
+    """The band structure on --grid and its gap number --gap-index."""
+    bands = band_structure(graph, args.grid)
+    gaps = find_gaps(bands)
+    if not 0 <= args.gap_index < len(gaps):
+        raise UsageError(f"gap index {args.gap_index} out of range (found {len(gaps)} gaps)")
+    return bands, gaps[args.gap_index]
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
 def _cmd_bands(args) -> int:
-    _emit(bands_to_csv(_load_graph(args.graph), args.grid), args.out)
+    """One row per point of the torus grid: the k components, then E_1..E_nu."""
+    graph = _load_graph(args.graph)
+    E = np.concatenate(list(torus_bands(graph, args.grid)))
+    header = ",".join([f"k_{i+1}" for i in range(graph.dim)] + [f"E_{s+1}" for s in range(graph.nu)])
+    _write_csv(header, np.hstack([torus_grid(graph.dim, args.grid), E]).tolist(), args.out)
     return 0
 
 
 def _cmd_gaps(args) -> int:
     graph = _load_graph(args.graph)
     gaps = find_gaps(band_structure(graph, args.grid))
-    _emit(json.dumps([_gap_json(g) for g in gaps], indent=2) + "\n", args.out)
+    _write_json([_gap_json(g) for g in gaps], args.out)
     return 0
 
 
 def _cmd_regularity(args) -> int:
     graph = _load_graph(args.graph)
-    gaps = find_gaps(band_structure(graph, args.grid))
-    if not 0 <= args.gap_index < len(gaps):
-        raise UsageError(f"gap index {args.gap_index} out of range (found {len(gaps)} gaps)")
-    rep = check_gap_edge_regularity(graph, gaps[args.gap_index], args.which)
+    _, gap = _indexed_gap(graph, args)
+    rep = check_gap_edge_regularity(graph, gap, args.which)
     doc = {
         "edge": {"value": rep.edge.value, "sign": rep.edge.sign, "band_index": rep.edge.band_index},
         "verdict": rep.verdict,
         "extremizers": [list(map(float, x)) for x in rep.extremizers],
         "hessians": [[list(map(float, row)) for row in h] for h in rep.hessians],
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _write_json(doc, args.out)
     return 0
 
 
@@ -125,29 +146,16 @@ def _cmd_gamma(args) -> int:
     theta = parse_theta(args.theta)
     sign = _parse_sign(args.sign)
     res = gamma_coefficient(bands, args.lam, args.p, sign, theta)
-    line = ",".join(
-        [
-            format_real(args.lam),
-            format_real(args.p),
-            sign,
-            format_real(res.value),
-            format_real(float(res.torus_integrals.sum())),
-            format_real(res.sphere_integral),
-            str(res.grids[-1]),
-            format_real(res.error),
-        ]
-    )
-    _emit("lambda,p,sign,gamma,torus_sum,sphere,grid,error\n" + line + "\n", args.out)
+    torus_sum = float(res.torus_integrals.sum())
+    row = (args.lam, args.p, sign, res.value, torus_sum, res.sphere_integral, res.grids[-1], res.error)
+    _write_csv("lambda,p,sign,gamma,torus_sum,sphere,grid,error", [row], args.out)
     return 0
 
 
 def _cmd_edge_conditions(args) -> int:
     graph = _load_graph(args.graph)
-    bands = band_structure(graph, args.grid)
-    gaps = find_gaps(bands)
-    if not 0 <= args.gap_index < len(gaps):
-        raise UsageError(f"gap index {args.gap_index} out of range (found {len(gaps)} gaps)")
-    edge = gap_edge(gaps[args.gap_index], args.which, graph.nu)
+    bands, gap = _indexed_gap(graph, args)
+    edge = gap_edge(gap, args.which, graph.nu)
     rep = edge_integral(bands, edge, args.kappa)
     doc = {
         "edge": {"value": edge.value, "sign": edge.sign},
@@ -159,7 +167,7 @@ def _cmd_edge_conditions(args) -> int:
     if args.p is not None:
         weak = weak_edge_membership(bands, edge, args.p)
         doc["weak"] = {"p": args.p, "sup": weak.weak_sup, "member": weak.weak_member}
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _write_json(doc, args.out)
     return 0
 
 
@@ -172,12 +180,8 @@ def _cmd_count(args) -> int:
     X = bs_matrix(H, V, args.lam)
     cb = counting_bs(X, args.tau, sign)
     cd = counting_direct(H, V, args.lam, args.tau, sign, base=X.below)
-    flags = ["boundary"] if cb.boundary else []
-    header = "lambda,tau,L,N_bs,N_direct,flags\n"
-    line = ",".join(
-        [format_real(args.lam), format_real(args.tau), str(args.L), str(cb.value), str(cd.value), ";".join(flags)]
-    )
-    _emit(header + line + "\n", args.out)
+    flags = "boundary" if cb.boundary else ""
+    _write_csv("lambda,tau,L,N_bs,N_direct,flags", [(args.lam, args.tau, args.L, cb.value, cd.value, flags)], args.out)
     return 0
 
 
@@ -194,26 +198,24 @@ def _cmd_asymptotics(args) -> int:
         L_list=args.L,
         grid=args.grid,
     )
-    _emit(table.to_csv(), args.out)
+    rows = [(r.lam, r.tau, r.L, r.N_bs, r.N_direct, r.gamma, r.ratio, ";".join(r.flags)) for r in table.rows]
+    _write_csv("lambda,tau,L,N_bs,N_direct,gamma,ratio,flags", rows, args.out)
     return 0
 
 
 def _cmd_pdo(args) -> int:
     f = parse_torus_function(args.f)
+    M = args.M or 8 * args.L
     if args.mode == "dp":
         g = parse_torus_function(args.g)
-        est, formula = dp_vs_formula(f, args.v, g, args.p, args.L, args.M or 8 * args.L, d=args.dim)
-        header = "L,M,dp_sup,dp_inf,formula\n"
-        line = ",".join(
-            [str(args.L), str(args.M or 8 * args.L), format_real(est.sup_est), format_real(est.inf_est), format_real(formula)]
-        )
-        _emit(header + line + "\n", args.out)
+        est, formula = dp_vs_formula(f, args.v, g, args.p, args.L, M, d=args.dim)
+        _write_csv("L,M,dp_sup,dp_inf,formula", [(args.L, M, est.sup_est, est.inf_est, formula)], args.out)
         return 0
     if args.mode == "cwikel":
         W = homogeneous_symbol(args.v, args.p, args.dim, args.L)
         q = args.q if args.q is not None else (args.p if args.p > 2 else 2.0)
-        ratio = cwikel_ratio(f, W, args.p, q, args.L, args.M or 8 * args.L)
-        _emit(f"p,q,L,ratio\n{format_real(args.p)},{format_real(q)},{args.L},{format_real(ratio)}\n", args.out)
+        ratio = cwikel_ratio(f, W, args.p, q, args.L, M)
+        _write_csv("p,q,L,ratio", [(args.p, q, args.L, ratio)], args.out)
         return 0
     if args.mode == "commutator":
         W = homogeneous_symbol(args.v, args.p, args.dim, args.L)
@@ -223,10 +225,8 @@ def _cmd_pdo(args) -> int:
         except (ValueError, TypeError, AttributeError) as exc:
             raise UsageError(f"--coeffs must map lags like \"1,0\" to numbers: {exc}") from exc
         rep = commutator_decay(coeffs, W, args.p, args.L)
-        lines = ["m,s_m,m^{1/p}s_m"]
-        for i, (s, pr) in enumerate(zip(rep.svalues.values, rep.products), start=1):
-            lines.append(f"{i},{format_real(s)},{format_real(pr)}")
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = zip(range(1, len(rep.svalues) + 1), rep.svalues.values.tolist(), rep.products.tolist())
+        _write_csv("m,s_m,m^{1/p}s_m", rows, args.out)
         return 0
     raise UsageError(f"unknown pdo mode {args.mode!r}")
 
@@ -243,7 +243,7 @@ def _cmd_weaklp(args) -> int:
         v = membership_verdicts(seq, args.p)
         doc["weak_member"] = v.weak
         doc["small_o"] = v.small_o
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _write_json(doc, args.out)
     return 0
 
 

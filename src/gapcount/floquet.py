@@ -185,6 +185,8 @@ def torus_bands(graph: PeriodicGraph, M: int) -> Iterator[np.ndarray]:
     Each edge phase e^{i k.n} is the broadcast product of the per-axis
     tables e^{i n_a k_a} indexed by the block, so no block forms k-points.
     """
+    if M < 2:
+        raise EigenError("grid size must be >= 2")
     axis = _torus_axis(M)
     tables = [[(a, np.exp(1j * (n * axis))) for a, n in enumerate(e.cell) if n] for e in graph.edges]
     for block in _grid_blocks(graph.dim, M):
@@ -193,14 +195,8 @@ def torus_bands(graph: PeriodicGraph, M: int) -> Iterator[np.ndarray]:
         yield _eigvals(_assemble(graph, phases, tuple(map(len, block))))
 
 
-def _check_grid(M: int) -> None:
-    if M < 2:
-        raise EigenError("grid size must be >= 2")
-
-
 def band_structure(graph: PeriodicGraph, M: int) -> BandStructure:
     """Per-band min and max over the M^d torus grid, taken block by block."""
-    _check_grid(M)
     lo = np.full(graph.nu, np.inf)
     hi = np.full(graph.nu, -np.inf)
     for E in torus_bands(graph, M):
@@ -313,7 +309,8 @@ def check_edge_regularity(
     tol0 = 1e-4 * spread + 1e-12
     cand = K[np.abs(vals - target) <= tol0]
 
-    # greedy torus clustering at ~1.5 grid steps
+    # greedy torus clustering at ~1.5 grid steps; a flat band makes every
+    # grid point a candidate, so stop at the first cluster beyond the cap
     step = 2.0 * math.pi / _COARSE_GRID
     clusters: list[np.ndarray] = []
     for pt in cand:
@@ -322,8 +319,8 @@ def check_edge_regularity(
                 break
         else:
             clusters.append(pt)
-    if len(clusters) > _MAX_EXTREMIZERS:
-        return RegularityReport(edge, tuple(clusters), (), "non-regular")
+            if len(clusters) > _MAX_EXTREMIZERS:
+                return RegularityReport(edge, tuple(clusters), (), "non-regular")
 
     refined: list[np.ndarray] = []
     for c in clusters:
@@ -361,22 +358,3 @@ def check_edge_regularity(
 def check_gap_edge_regularity(graph: PeriodicGraph, gap: Gap, which: str) -> RegularityReport:
     edge = gap_edge(gap, which, graph.nu)
     return check_edge_regularity(lambda K: band_values(graph, K)[:, edge.band_index], edge, graph.dim)
-
-
-# ---------------------------------------------------------------------------
-# CSV emission
-
-
-def format_real(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def bands_to_csv(graph: PeriodicGraph, M: int) -> str:
-    """One row per point of torus_grid(graph.dim, M): the k components, then E_1..E_nu."""
-    _check_grid(M)
-    header = ",".join([f"k_{i+1}" for i in range(graph.dim)] + [f"E_{s+1}" for s in range(graph.nu)])
-    lines = [header]
-    E = np.concatenate(list(torus_bands(graph, M)), axis=0)
-    for k, e in zip(torus_grid(graph.dim, M), E):
-        lines.append(",".join(format_real(x) for x in (*k, *e)))
-    return "\n".join(lines) + "\n"

@@ -21,7 +21,11 @@ from .gamma import sphere_integral
 from .periodic_graph import box_cells, box_index, box_shift
 from .weak_lp import DpWindowEstimate, WeightedSequence, dp_window, weak_quasinorm
 
+# Singular values kept, relative to the largest: a direct SVD resolves them
+# to rounding, but a Gram eigenvalue is a squared singular value, so below
+# about sqrt(eps) ~ 1.5e-8 of the largest the Gram routes return noise.
 _SV_TOL = 1e-13
+_GRAM_SV_TOL = 1e-7
 
 
 class PdoError(GapcountError):
@@ -135,9 +139,9 @@ class SingularValueReport:
     svalues: WeightedSequence
 
 
-def _nonzero(sv: np.ndarray) -> np.ndarray:
-    """Descending singular values above _SV_TOL relative to the largest."""
-    return sv[sv > _SV_TOL * max(sv[0], 1e-300)] if sv.size else sv
+def _nonzero(sv: np.ndarray, tol: float) -> np.ndarray:
+    """Descending singular values above tol relative to the largest."""
+    return sv[sv > tol * max(sv[0], 1e-300)] if sv.size else sv
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +177,8 @@ def pdo_singular_values(triple: SymbolTriple) -> SingularValueReport:
     """Nonzero singular values of the finite section of f Phi W Phi* g.
 
     Computed from the N x N Gram pair: (A*A)_{nm} = c^f_{n-m},
-    (BB*)_{nm} = W(n) c^g_{n-m} conj(W(m)), as eigenvalues of
-    (BB*)^{1/2} (A*A) (BB*)^{1/2}.
+    (BB*)_{nm} = W(n) c^g_{n-m} conj(W(m)). With BB* = U w U*, the squared
+    singular values are the eigenvalues of R* (A*A) R for R = U w^{1/2}.
     """
     W = triple.W
     max_lag = 2 * W.L
@@ -183,9 +187,9 @@ def pdo_singular_values(triple: SymbolTriple) -> SingularValueReport:
     AtA = _coeff_matrix(cf, W.points, max_lag)
     BBt = W.values[:, None] * _coeff_matrix(cg, W.points, max_lag) * np.conj(W.values)[None, :]
     w, U = np.linalg.eigh(BBt)
-    root = (U * np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
-    ev = np.clip(np.linalg.eigvalsh(root @ AtA @ root), 0.0, None)
-    return SingularValueReport(WeightedSequence(_nonzero(np.sqrt(ev)[::-1])))
+    R = U * np.sqrt(np.clip(w, 0.0, None))
+    ev = np.clip(np.linalg.eigvalsh(R.conj().T @ AtA @ R), 0.0, None)
+    return SingularValueReport(WeightedSequence(_nonzero(np.sqrt(ev)[::-1], _GRAM_SV_TOL)))
 
 
 def fphiw_singular_values(f: TorusFunction, W: LatticeSymbol, M: int) -> WeightedSequence:
@@ -194,7 +198,7 @@ def fphiw_singular_values(f: TorusFunction, W: LatticeSymbol, M: int) -> Weighte
     cf = fourier_modsq_coeffs(f, M, max_lag, W.dim)
     G = np.conj(W.values)[:, None] * _coeff_matrix(cf, W.points, max_lag) * W.values[None, :]
     ev = np.clip(np.linalg.eigvalsh(G), 0.0, None)
-    return WeightedSequence(_nonzero(np.sqrt(ev)[::-1]))
+    return WeightedSequence(_nonzero(np.sqrt(ev)[::-1], _GRAM_SV_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +307,6 @@ def commutator_decay(
         # pairs with n_i - n_j = -t, i.e. n_j = n_i + t
         i, j = box_shift(d, L, tv)
         Kmat[i, j] += c * (wfull[j] - wfull[i])
-    seq = WeightedSequence(_nonzero(np.linalg.svd(Kmat, compute_uv=False)))
+    seq = WeightedSequence(_nonzero(np.linalg.svd(Kmat, compute_uv=False), _SV_TOL))
     m = np.arange(1, len(seq) + 1, dtype=float)
     return CommutatorReport(seq, seq.values * m ** (1.0 / p))

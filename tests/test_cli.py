@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import gapcount.cli
+import gapcount.floquet
 from gapcount.cli import main
-from gapcount.floquet import format_real
+from gapcount.floquet import band_values, torus_grid
 from gapcount.pdo_lab import commutator_decay, dp_vs_formula, homogeneous_symbol, torus_one
+from gapcount.periodic_graph import dimer_chain, square_lattice
 
 CHAIN = {
     "dim": 1,
@@ -29,6 +31,19 @@ def test_bands_csv_schema(chain_json, tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "k_1,E_1"
     assert len(lines) == 65
+    assert all(len(line.split(",")) == 2 for line in lines)
+
+
+@pytest.mark.parametrize("graph, M", [("square:2", 12), ("dimer", 250)], ids=["square2", "dimer"])
+def test_bands_rows_pair_k_with_its_energies_across_blocks(graph, M, monkeypatch, capsys):
+    monkeypatch.setattr(gapcount.floquet, "_CHUNK", 100)
+    assert main(["bands", "--graph", graph, "--grid", str(M)]) == 0
+    rows = np.array([[float(x) for x in line.split(",")] for line in capsys.readouterr().out.strip().split("\n")[1:]])
+    g = square_lattice(2) if graph == "square:2" else dimer_chain()
+    K = torus_grid(g.dim, M)
+    assert rows.shape == (M**g.dim, g.dim + g.nu)
+    np.testing.assert_array_equal(rows[:, : g.dim], K)
+    np.testing.assert_allclose(rows[:, g.dim :], band_values(g, K), rtol=0.0, atol=1e-12)
 
 
 def test_gamma_closed_form(chain_json, capsys):
@@ -147,7 +162,7 @@ def test_asymptotics_table(chain_json, tmp_path):
     )
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("lambda,tau,L,")
+    assert lines[0] == "lambda,tau,L,N_bs,N_direct,gamma,ratio,flags"
     assert len(lines) == 3
 
 
@@ -192,7 +207,7 @@ def test_pdo_dp_mode_honours_dim(capsys):
     assert header == "L,M,dp_sup,dp_inf,formula"
     est, formula = dp_vs_formula(torus_one(), 1.0, torus_one(), 1.0, 4, 32, d=2)
     assert formula == pytest.approx(math.pi, rel=1e-12)
-    assert row == ",".join(["4", "32", format_real(est.sup_est), format_real(est.inf_est), format_real(formula)])
+    assert row == f"4,32,{est.sup_est:.17g},{est.inf_est:.17g},{formula:.17g}"
 
 
 def test_edge_conditions_weak_json(capsys):
@@ -238,3 +253,55 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(gapcount.cli, "find_gaps", broken)
     with pytest.raises(ValueError, match="not aligned"):
         main(["gaps", "--graph", "square:1", "--grid", "8"])
+
+
+# Full stdout of one command per CSV writer path; "CHAIN" stands for the chain document.
+GOLDEN = {
+    "bands": (
+        ["bands", "--graph", "square:1", "--grid", "4"],
+        "k_1,E_1\n"
+        "-3.1415926535897931,4\n"
+        "-1.5707963267948966,1.9999999999999998\n"
+        "0,0\n"
+        "1.5707963267948966,1.9999999999999998\n",
+    ),
+    "gamma": (
+        ["gamma", "--graph", "CHAIN", "--lambda", "-1", "--p", "1", "--sign", "minus", "--theta", "const:1"],
+        "lambda,p,sign,gamma,torus_sum,sphere,grid,error\n"
+        "-1,1,-,0.89442719099991586,2.8099258924162904,2,128,1.4135798584282297e-16\n",
+    ),
+    "count": (
+        ["count", "--graph", "square:1", "--lambda", "-1", "--tau", "10", "--L", "150", "--p", "1", "--sign", "minus"],
+        "lambda,tau,L,N_bs,N_direct,flags\n-1,10,150,9,9,\n",
+    ),
+    "asymptotics": (
+        ["asymptotics", "--graph", "CHAIN", "--lambda", "-1", "--p", "1", "--sign", "minus"]
+        + ["--tau", "5", "10", "--L", "50", "100", "--grid", "32"],
+        "lambda,tau,L,N_bs,N_direct,gamma,ratio,flags\n"
+        "-1,5,100,5,5,0.89442719099991597,1.1180339887498949,\n"
+        "-1,10,100,9,9,0.89442719099991597,1.0062305898749053,\n",
+    ),
+    "pdo-cwikel": (
+        ["pdo", "--mode", "cwikel", "--p", "1", "--L", "64"],
+        "p,q,L,ratio\n1,2,64,0.3989422804014327\n",
+    ),
+    "pdo-commutator": (
+        ["pdo", "--mode", "commutator", "--p", "1", "--L", "4"],
+        "m,s_m,m^{1/p}s_m\n"
+        "1,1,1\n"
+        "2,1,2\n"
+        "3,0.5,1.5\n"
+        "4,0.5,2\n"
+        "5,0.16666666666666669,0.83333333333333348\n"
+        "6,0.16666666666666669,1\n"
+        "7,0.083333333333333315,0.58333333333333326\n"
+        "8,0.083333333333333315,0.66666666666666652\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_csv_output_is_unchanged(case, chain_json, capsys):
+    argv, expected = GOLDEN[case]
+    assert main([chain_json if a == "CHAIN" else a for a in argv]) == 0
+    assert capsys.readouterr().out == expected

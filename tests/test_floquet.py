@@ -13,7 +13,6 @@ from gapcount.floquet import (
     GapEdge,
     band_structure,
     band_values,
-    bands_to_csv,
     check_edge_regularity,
     check_gap_edge_regularity,
     fiber_matrix,
@@ -156,29 +155,35 @@ def test_degenerate_synthetic_band_non_regular():
     assert rep.verdict == "non-regular"
 
 
+def test_flat_band_stops_at_the_extremizer_cap():
+    rep = check_edge_regularity(lambda K: np.zeros(K.shape[0]), GapEdge(0.0, "+", 0), 2)
+    assert rep.verdict == "non-regular"
+    assert len(rep.extremizers) == floquet._MAX_EXTREMIZERS + 1
+    assert rep.hessians == ()
+
+
+def lieb_lattice(d):
+    """A vertex at the cell corner and one at each axis-edge midpoint; bands 2..d are flat at 2."""
+    axes = [tuple(int(b == a) for b in range(d)) for a in range(d)]
+    vertices = (VertexSpec(1, (0.0,) * d, 0.0),)
+    vertices += tuple(VertexSpec(a + 2, tuple(0.5 * x for x in e), 0.0) for a, e in enumerate(axes))
+    edges = []
+    for a, e in enumerate(axes):
+        edges += [EdgeSpec(1, a + 2, (0,) * d), EdgeSpec(a + 2, 1, e)]
+    return build_graph(GraphSpec(d, vertices, tuple(edges)))
+
+
+def test_flat_lieb_edge_in_three_dimensions_is_non_regular():
+    graph = lieb_lattice(3)
+    gap = find_gaps(band_structure(graph, 16))[1]
+    assert gap.lower == pytest.approx(2.0, abs=1e-12) and gap.upper == pytest.approx(6.0, abs=1e-12)
+    assert check_gap_edge_regularity(graph, gap, "lower").verdict == "non-regular"
+
+
 def test_torus_grid_contains_zero_and_minus_pi():
     K = torus_grid(1, 8)[:, 0]
     assert -math.pi in K
     assert 0.0 in K
-
-
-def test_bands_to_csv_schema():
-    lines = bands_to_csv(square_lattice(1), 8).strip().split("\n")
-    assert lines[0] == "k_1,E_1"
-    assert len(lines) == 9
-    assert len(lines[1].split(",")) == 2
-
-
-@pytest.mark.parametrize("graph, M", [(square_lattice(2), 12), (dimer_chain(), 250)], ids=["square2", "dimer"])
-def test_bands_to_csv_rows_pair_k_with_its_energies_across_blocks(graph, M, monkeypatch):
-    monkeypatch.setattr(floquet, "_CHUNK", 100)
-    rows = np.array(
-        [[float(x) for x in line.split(",")] for line in bands_to_csv(graph, M).strip().split("\n")[1:]]
-    )
-    K = torus_grid(graph.dim, M)
-    assert rows.shape == (M**graph.dim, graph.dim + graph.nu)
-    np.testing.assert_array_equal(rows[:, : graph.dim], K)
-    np.testing.assert_allclose(rows[:, graph.dim :], band_values(graph, K), rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import gapcount.pdo_lab as pdo_lab
 from gapcount.floquet import torus_grid
 from gapcount.pdo_lab import (
     PdoError,
@@ -110,6 +111,34 @@ def test_gram_matches_direct_construction():
         gram = pdo_singular_values(SymbolTriple(f, g, W, 1.0, M)).svalues.values
         direct = direct_section_svalues(f, g, W, M)[: gram.size]
         np.testing.assert_allclose(gram, direct, atol=1e-8 * max(1.0, direct.max()))
+
+
+@pytest.mark.parametrize(
+    "f, g, d, L, kept",
+    [
+        (torus_half_indicator(), torus_one(), 1, 128, 143),
+        (torus_half_indicator(), torus_half_indicator(), 1, 64, 72),
+        (torus_exp(1), torus_one(), 1, 64, 128),
+        (torus_half_indicator(), torus_one(), 2, 4, 80),
+    ],
+    ids=["halftorus-one", "halftorus-halftorus", "exp1-one", "halftorus-d2"],
+)
+def test_gram_trim_keeps_what_a_dense_svd_resolves(f, g, d, L, kept):
+    # The Gram routes square the conditioning, so they keep only values above
+    # _GRAM_SV_TOL of the largest; a dense SVD at the same trim keeps the same.
+    W = homogeneous_symbol(1.0, 1.0, d, L)
+    gram = pdo_singular_values(SymbolTriple(f, g, W, 1.0, 8 * L)).svalues.values
+    dense = direct_section_svalues(f, g, W, 8 * L)
+    dense = dense[dense > pdo_lab._GRAM_SV_TOL * dense[0]]
+    assert gram.size == dense.size == kept
+    np.testing.assert_allclose(gram, dense, rtol=0.0, atol=1e-11 * dense[0])
+
+
+def test_dp_half_torus_drops_gram_noise():
+    est, formula = dp_vs_formula(torus_half_indicator(), 1.0, torus_one(), 1.0, 128, 1024)
+    assert formula == pytest.approx(1.0, rel=1e-12)
+    assert est.sup_est == pytest.approx(1.0647459194759885, rel=1e-9)
+    assert est.inf_est == pytest.approx(1.0083393773751936, rel=1e-9)
 
 
 def test_cwikel_regime_validation():

@@ -176,10 +176,7 @@ def test_asymptotic_table_schema_and_identity():
     )
     assert all(r.N_bs == r.N_direct for r in table.rows)
     assert all(r.ratio >= 0.0 for r in table.rows)
-    csv = table.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "lambda,tau,L,N_bs,N_direct,gamma,ratio,flags"
-    assert len(lines) == 3
+    assert len(table.rows) == 2
 
 
 def test_asymptotic_table_assembles_each_box_once(monkeypatch):
@@ -427,7 +424,7 @@ def test_each_public_call_checks_the_matrix_once(monkeypatch):
     table = lambda: asymptotic_table(  # noqa: E731
         graph, theta_const(1.0), p=1.0, lam=-1.0, sign="-", tau_list=(1.0, 2.0, 3.0), L_list=(30, 40), grid=32
     )
-    assert _matrix_checks(monkeypatch, table) <= 4
+    assert _matrix_checks(monkeypatch, table) == 2
 
 
 @pytest.mark.parametrize("tau, sign", [(0.0, "-"), (-1.0, "+"), (1.0, "plus")])
