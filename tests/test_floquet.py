@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapcount.floquet as floquet
+from gapcount.cli import main
 from gapcount.floquet import (
     EigenError,
     GapEdge,
@@ -178,6 +179,15 @@ def test_flat_lieb_edge_in_three_dimensions_is_non_regular():
     gap = find_gaps(band_structure(graph, 16))[1]
     assert gap.lower == pytest.approx(2.0, abs=1e-12) and gap.upper == pytest.approx(6.0, abs=1e-12)
     assert check_gap_edge_regularity(graph, gap, "lower").verdict == "non-regular"
+
+
+def test_bands_to_csv_schema(capsys):
+    # The bands CSV is written by the CLI; square:1 at M = 8 gives a header and one row per k.
+    assert main(["bands", "--graph", "square:1", "--grid", "8"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "k_1,E_1"
+    assert len(lines) == 9
+    assert len(lines[1].split(",")) == 2
 
 
 def test_torus_grid_contains_zero_and_minus_pi():
