@@ -37,12 +37,12 @@ from .pdo_lab import (
 from .periodic_graph import (
     FiniteHamiltonian,
     GraphError,
-    GraphSpec,
     PeriodicGraph,
     ThetaProfile,
     assemble_truncated,
     build_graph,
     dimer_chain,
+    load_graph,
     potential_from_function,
     sample_potential,
     square_lattice,

@@ -28,10 +28,9 @@ from .floquet import (
 from .gamma import edge_integral, gamma_coefficient, weak_edge_membership
 from .pdo_lab import commutator_decay, cwikel_ratio, dp_vs_formula, homogeneous_symbol, parse_torus_function
 from .periodic_graph import (
-    GraphSpec,
     assemble_truncated,
-    build_graph,
     dimer_chain,
+    load_graph,
     parse_theta,
     sample_potential,
     square_lattice,
@@ -59,7 +58,7 @@ def _load_graph(token: str):
     path = Path(token)
     if not path.exists():
         raise UsageError(f"graph file not found: {token}")
-    return build_graph(GraphSpec.from_json(path))
+    return load_graph(path)
 
 
 def _parse_sign(s: str) -> str:
@@ -180,7 +179,7 @@ def _cmd_count(args) -> int:
     X = bs_matrix(H, V, args.lam)
     cb = counting_bs(X, args.tau, sign)
     cd = counting_direct(H, V, args.lam, args.tau, sign, base=X.below)
-    flags = "boundary" if cb.boundary else ""
+    flags = "boundary" if cb.boundary or cd.boundary else ""
     _write_csv("lambda,tau,L,N_bs,N_direct,flags", [(args.lam, args.tau, args.L, cb.value, cd.value, flags)], args.out)
     return 0
 

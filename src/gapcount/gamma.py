@@ -182,9 +182,9 @@ def edge_integral(
     if kappa < 0:
         raise GammaError("kappa must be >= 0")
     graph = bands.graph
-    if kappa == 0.0:
-        vol = (2.0 * math.pi) ** graph.dim
-        est = np.full(len(ladder), graph.nu * vol)
+    if kappa == 0.0:  # integrand 1 on the bands on the far side of the edge from the gap, else 0
+        beyond = edge.band_index + 1 if edge.sign == "+" else graph.nu - edge.band_index
+        est = np.full(len(ladder), beyond * (2.0 * math.pi) ** graph.dim)
         return EdgeIntegralReport(tuple(ladder), est, "convergent")
     sums = np.array(
         [_band_power_sums(graph, edge.value, kappa, edge.sign, M).sum() for M in ladder]

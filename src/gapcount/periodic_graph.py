@@ -29,59 +29,7 @@ from .errors import GapcountError
 
 
 class GraphError(GapcountError):
-    """Malformed graph specification or invalid potential data."""
-
-
-# ---------------------------------------------------------------------------
-# specification documents
-
-
-@dataclass(frozen=True)
-class VertexSpec:
-    id: int
-    offset: tuple[float, ...]
-    Q: float = 0.0
-
-
-@dataclass(frozen=True)
-class EdgeSpec:
-    from_id: int
-    to_id: int
-    cell: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class GraphSpec:
-    """JSON-schema document: dim, vertices [{id, offset, Q}], edges."""
-
-    dim: int
-    vertices: tuple[VertexSpec, ...]
-    edges: tuple[EdgeSpec, ...]
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GraphSpec":
-        try:
-            dim = int(doc["dim"])
-            vertices = tuple(
-                VertexSpec(int(v["id"]), tuple(float(x) for x in v["offset"]), float(v.get("Q", 0.0)))
-                for v in doc["vertices"]
-            )
-            edges = tuple(
-                EdgeSpec(int(e["from"]), int(e["to"]), tuple(int(c) for c in e["cell"]))
-                for e in doc["edges"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GraphError(f"malformed graph document: {exc}") from exc
-        return cls(dim, vertices, edges)
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "GraphSpec":
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:
-                raise GraphError(f"graph file is not JSON: {exc}") from exc
-        return cls.from_dict(doc)
+    """Malformed graph document or invalid potential data."""
 
 
 @dataclass(frozen=True)
@@ -119,16 +67,28 @@ class FiniteHamiltonian:
 # angular profiles
 
 
+_NEGATIVE_THETA = "theta takes negative values; potential must satisfy V >= 0"
+
+
 @dataclass(frozen=True)
 class ThetaProfile:
-    """Angular profile theta on S^{d-1}: callable on unit directions."""
+    """Angular profile theta >= 0 on S^{d-1}: callable on unit directions.
+
+    A negative or NaN sup, or value returned, raises GraphError.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]
     sup: float
 
+    def __post_init__(self):
+        if not self.sup >= 0.0:
+            raise GraphError(_NEGATIVE_THETA)
+
     def __call__(self, directions: np.ndarray) -> np.ndarray:
         u = np.atleast_2d(np.asarray(directions, dtype=float))
         out = np.asarray(self.fn(u), dtype=float)
+        if not np.all(out >= 0.0):
+            raise GraphError(_NEGATIVE_THETA)
         return out
 
 
@@ -157,6 +117,8 @@ def theta_table(path: str | Path) -> ThetaProfile:
     vals = rows[:, -1]
 
     def fn(u: np.ndarray) -> np.ndarray:
+        if u.shape[1] != dirs.shape[1]:
+            raise GraphError(f"theta table {path}: {dirs.shape[1]}-component directions in dimension {u.shape[1]}")
         idx = np.argmax(u @ dirs.T, axis=1)
         return vals[idx]
 
@@ -181,41 +143,56 @@ def parse_theta(spec: str) -> ThetaProfile:
 # operations
 
 
-def _canonical(e: EdgeSpec) -> tuple[int, int, tuple[int, ...]]:
-    j, jp, n = e.from_id, e.to_id, e.cell
+def _canonical(j: int, jp: int, n: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
     neg = tuple(-c for c in n)
     if jp < j or (jp == j and neg < n):
         return jp, j, neg
     return j, jp, n
 
 
-def build_graph(spec: GraphSpec) -> PeriodicGraph:
-    """Validate, canonicalize edges, compute degrees, check connectivity."""
-    if spec.dim < 1:
+def build_graph(doc: dict) -> PeriodicGraph:
+    """Build a graph from its document {dim, vertices: [{id, offset, Q}], edges: [{from, to, cell}]}.
+
+    Q defaults to 0.  Coerces and validates the document, canonicalizes
+    the edges, computes degrees and checks connectivity.
+    """
+    try:
+        dim = int(doc["dim"])
+        vertices = [
+            (int(v["id"]), [float(x) for x in v["offset"]], float(v.get("Q", 0.0))) for v in doc["vertices"]
+        ]
+        edges = [(int(e["from"]), int(e["to"]), tuple(int(c) for c in e["cell"])) for e in doc["edges"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GraphError(f"malformed graph document: {exc}") from exc
+    if dim < 1:
         raise GraphError("dimension must be >= 1")
-    ids = [v.id for v in spec.vertices]
-    nu = len(ids)
-    if sorted(ids) != list(range(1, nu + 1)):
+    nu = len(vertices)
+    if nu == 0:
+        raise GraphError("graph has no vertices")
+    if sorted(j for j, _, _ in vertices) != list(range(1, nu + 1)):
         raise GraphError("vertex ids must be exactly 1..nu with no duplicates")
-    offsets = np.zeros((nu, spec.dim))
+    offsets = np.zeros((nu, dim))
     Q = np.zeros(nu)
-    for v in spec.vertices:
-        if len(v.offset) != spec.dim:
-            raise GraphError(f"vertex {v.id}: offset has wrong dimension")
-        if any(not (0.0 <= x < 1.0) for x in v.offset):
-            raise GraphError(f"vertex {v.id}: offset outside [0,1)^d")
-        offsets[v.id - 1] = v.offset
-        Q[v.id - 1] = v.Q
+    for j, offset, q in vertices:
+        if len(offset) != dim:
+            raise GraphError(f"vertex {j}: offset has wrong dimension")
+        if any(not (0.0 <= x < 1.0) for x in offset):
+            raise GraphError(f"vertex {j}: offset outside [0,1)^d")
+        if not np.isfinite(q):
+            raise GraphError(f"vertex {j}: Q must be finite")
+        offsets[j - 1] = offset
+        Q[j - 1] = q
 
     counts: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    for e in spec.edges:
-        if e.from_id not in range(1, nu + 1) or e.to_id not in range(1, nu + 1):
-            raise GraphError(f"edge ({e.from_id},{e.to_id},{e.cell}) references unknown vertex id")
-        if len(e.cell) != spec.dim:
+    for j, jp, n in edges:
+        if j not in range(1, nu + 1) or jp not in range(1, nu + 1):
+            raise GraphError(f"edge ({j},{jp},{n}) references unknown vertex id")
+        if len(n) != dim:
             raise GraphError("edge cell vector has wrong dimension")
-        if e.from_id == e.to_id and all(c == 0 for c in e.cell):
+        if j == jp and all(c == 0 for c in n):
             continue  # n = 0 loop: no Laplacian contribution
-        counts[_canonical(e)] = counts.get(_canonical(e), 0) + 1
+        key = _canonical(j, jp, n)
+        counts[key] = counts.get(key, 0) + 1
 
     edges = tuple(Edge(j, jp, cell, m) for (j, jp, cell), m in sorted(counts.items()))
     degrees = np.zeros(nu, dtype=int)
@@ -225,12 +202,22 @@ def build_graph(spec: GraphSpec) -> PeriodicGraph:
         else:
             degrees[e.j - 1] += e.mult
             degrees[e.jp - 1] += e.mult
-    if nu and degrees.min() < 1:
+    if degrees.min() < 1:
         raise GraphError("graph has an isolated vertex")
 
-    graph = PeriodicGraph(spec.dim, nu, offsets, edges, degrees, Q)
+    graph = PeriodicGraph(dim, nu, offsets, edges, degrees, Q)
     _check_connectivity(graph)
     return graph
+
+
+def load_graph(path: str | Path) -> PeriodicGraph:
+    """build_graph() of the JSON graph document in a file."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise GraphError(f"graph file is not JSON: {exc}") from exc
+    return build_graph(doc)
 
 
 def _check_connectivity(graph: PeriodicGraph) -> None:
@@ -344,13 +331,7 @@ def sample_potential(graph: PeriodicGraph, theta: ThetaProfile, p: float, L: int
     values = np.full(pos.shape[0], theta.sup, dtype=float)
     far = r >= 1.0
     if np.any(far):
-        dirs = pos[far] / r[far, None]
-        tv = theta(dirs)
-        if tv.min() < 0.0:
-            raise GraphError("theta takes negative values; potential must satisfy V >= 0")
-        values[far] = r[far] ** (-graph.dim / p) * tv
-    if theta.sup < 0.0:
-        raise GraphError("theta takes negative values; potential must satisfy V >= 0")
+        values[far] = r[far] ** (-graph.dim / p) * theta(pos[far] / r[far, None])
     return values
 
 
@@ -371,20 +352,12 @@ def potential_from_function(graph: PeriodicGraph, fn: Callable[[np.ndarray], np.
 
 def square_lattice(d: int, Q: float = 0.0) -> PeriodicGraph:
     """The Z^d lattice: one vertex per cell, nearest-neighbor edges."""
-    edges = []
-    for axis in range(d):
-        cell = [0] * d
-        cell[axis] = 1
-        edges.append(EdgeSpec(1, 1, tuple(cell)))
-    spec = GraphSpec(d, (VertexSpec(1, (0.0,) * d, Q),), tuple(edges))
-    return build_graph(spec)
+    edges = [{"from": 1, "to": 1, "cell": [int(b == a) for b in range(d)]} for a in range(d)]
+    return build_graph({"dim": d, "vertices": [{"id": 1, "offset": [0.0] * d, "Q": Q}], "edges": edges})
 
 
 def dimer_chain(Q: tuple[float, float] = (0.0, 2.0)) -> PeriodicGraph:
     """1D two-vertex chain: edges (1,2,[0]) and (2,1,[1])."""
-    spec = GraphSpec(
-        1,
-        (VertexSpec(1, (0.0,), Q[0]), VertexSpec(2, (0.5,), Q[1])),
-        (EdgeSpec(1, 2, (0,)), EdgeSpec(2, 1, (1,))),
-    )
-    return build_graph(spec)
+    vertices = [{"id": 1, "offset": [0.0], "Q": Q[0]}, {"id": 2, "offset": [0.5], "Q": Q[1]}]
+    edges = [{"from": 1, "to": 2, "cell": [0]}, {"from": 2, "to": 1, "cell": [1]}]
+    return build_graph({"dim": 1, "vertices": vertices, "edges": edges})

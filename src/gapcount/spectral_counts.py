@@ -373,10 +373,16 @@ def counting_direct(
 
     `base`, when given, is the number of eigenvalues of H_L below lambda,
     counted by a caller that has already checked lambda against sigma(H_L).
+    The boundary flag marks lambda within 1e-10 of an eigenvalue of
+    H_L +/- tau V, seen as a change of its count across lambda -/+ 1e-10.
     """
     t = _coupling(tau, sign)
     A = _symmetric_matrix(H)
-    return Count(_direct_count(A, _potential(V, A.shape[0]), lam, t, base), False)
+    v = _potential(V, A.shape[0])
+    value = _direct_count(A, v, lam, t, base)
+    B = A + sp.diags(t * v)
+    boundary = _inertia(B, lam - _BOUNDARY_TOL).below != _inertia(B, lam + _BOUNDARY_TOL).below
+    return Count(value, boundary)
 
 
 def _direct_count(A: sp.csc_matrix, v: np.ndarray, lam: float, t: float, base: int | None = None) -> int:

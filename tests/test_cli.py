@@ -246,6 +246,42 @@ def test_precondition_errors_exit_2(case, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("gapcount: error: ")
 
 
+_COUNT = ["count", "--lambda", "-1", "--tau", "10", "--L", "20", "--p", "1", "--sign", "minus"]
+_NEGATIVE_THETA = "theta takes negative values; potential must satisfy V >= 0"
+# Bad theta and graph inputs, each with the one error line it must print.
+REJECTED_INPUTS = {
+    "gamma-negative-theta": (
+        _GAMMA + ["--graph", "square:2", "--p", "0.5", "--theta", "const:-1"],
+        _NEGATIVE_THETA,
+    ),
+    "gamma-negative-theta-p1": (
+        _GAMMA + ["--graph", "square:2", "--p", "1", "--theta", "const:-1"],
+        _NEGATIVE_THETA,
+    ),
+    "count-theta-table-of-wrong-dimension": (
+        _COUNT + ["--graph", "square:1", "--theta", "table:theta2.txt"],
+        "theta table theta2.txt: 2-component directions in dimension 1",
+    ),
+    "gamma-theta-table-of-wrong-dimension": (
+        _GAMMA + ["--graph", "square:3", "--grid", "8", "--p", "1", "--theta", "table:theta2.txt"],
+        "theta table theta2.txt: 2-component directions in dimension 3",
+    ),
+    "count-graph-with-nan-Q": (_COUNT + ["--graph", "nanq.json"], "vertex 1: Q must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED_INPUTS))
+def test_rejected_inputs_print_one_error_line(case, tmp_path, monkeypatch, capsys):
+    (tmp_path / "theta2.txt").write_text("1 0 1\n0 1 2\n")
+    (tmp_path / "nanq.json").write_text(json.dumps({**CHAIN, "vertices": [{"id": 1, "offset": [0.0], "Q": math.nan}]}))
+    monkeypatch.chdir(tmp_path)
+    argv, message = REJECTED_INPUTS[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gapcount: error: {message}\n"
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     def broken(bands):
         raise ValueError("shapes (3,) and (4,) not aligned")

@@ -24,9 +24,6 @@ from gapcount.floquet import (
     torus_grid,
 )
 from gapcount.periodic_graph import (
-    EdgeSpec,
-    GraphSpec,
-    VertexSpec,
     assemble_truncated,
     build_graph,
     dimer_chain,
@@ -163,15 +160,24 @@ def test_flat_band_stops_at_the_extremizer_cap():
     assert rep.hessians == ()
 
 
+def graph_doc(dim, vertices, edges):
+    """The graph document of (id, offset[, Q]) vertex tuples and (from, to, cell) edge tuples."""
+    return {
+        "dim": dim,
+        "vertices": [{"id": v[0], "offset": list(v[1]), "Q": v[2] if len(v) > 2 else 0.0} for v in vertices],
+        "edges": [{"from": j, "to": jp, "cell": list(n)} for j, jp, n in edges],
+    }
+
+
 def lieb_lattice(d):
     """A vertex at the cell corner and one at each axis-edge midpoint; bands 2..d are flat at 2."""
     axes = [tuple(int(b == a) for b in range(d)) for a in range(d)]
-    vertices = (VertexSpec(1, (0.0,) * d, 0.0),)
-    vertices += tuple(VertexSpec(a + 2, tuple(0.5 * x for x in e), 0.0) for a, e in enumerate(axes))
+    vertices = [(1, (0.0,) * d, 0.0)]
+    vertices += [(a + 2, tuple(0.5 * x for x in e), 0.0) for a, e in enumerate(axes)]
     edges = []
     for a, e in enumerate(axes):
-        edges += [EdgeSpec(1, a + 2, (0,) * d), EdgeSpec(a + 2, 1, e)]
-    return build_graph(GraphSpec(d, vertices, tuple(edges)))
+        edges += [(1, a + 2, (0,) * d), (a + 2, 1, e)]
+    return build_graph(graph_doc(d, vertices, edges))
 
 
 def test_flat_lieb_edge_in_three_dimensions_is_non_regular():
@@ -216,15 +222,15 @@ def test_torus_bands_bitwise_equal_to_scattered_path(graph, M, monkeypatch):
 
 def diagonal_two_vertex_graph():
     """d = 2, two vertices joined across cells (1, 1), (1, -1) and (0, 0), with self-orbits and Q."""
-    vertices = (VertexSpec(1, (0.0, 0.0), 0.3), VertexSpec(2, (0.5, 0.5), -0.7))
-    edges = (
-        EdgeSpec(1, 2, (1, 1)),
-        EdgeSpec(1, 2, (1, -1)),
-        EdgeSpec(1, 2, (0, 0)),
-        EdgeSpec(2, 2, (1, 1)),
-        EdgeSpec(1, 1, (1, 0)),
-    )
-    return build_graph(GraphSpec(2, vertices, edges))
+    vertices = [(1, (0.0, 0.0), 0.3), (2, (0.5, 0.5), -0.7)]
+    edges = [
+        (1, 2, (1, 1)),
+        (1, 2, (1, -1)),
+        (1, 2, (0, 0)),
+        (2, 2, (1, 1)),
+        (1, 1, (1, 0)),
+    ]
+    return build_graph(graph_doc(2, vertices, edges))
 
 
 def test_torus_bands_multi_component_cells_within_rounding(monkeypatch):
@@ -242,17 +248,17 @@ def periodic_graphs(draw):
     nu = draw(st.integers(1, 3))
     cells = st.tuples(*[st.integers(-1, 1)] * d)
     vertex = st.integers(1, nu)
-    vertices = tuple(VertexSpec(j, (0.0,) * d, draw(st.floats(-2.0, 2.0))) for j in range(1, nu + 1))
-    edges = [EdgeSpec(j, j + 1, draw(cells)) for j in range(1, nu)]
+    vertices = [(j, (0.0,) * d, draw(st.floats(-2.0, 2.0))) for j in range(1, nu + 1)]
+    edges = [(j, j + 1, draw(cells)) for j in range(1, nu)]
     for a in range(d):
         # two edges u -> v whose cells differ by e_a close a cycle of cell vector e_a
         u, v, c = draw(vertex), draw(vertex), list(draw(cells))
         c[a] = draw(st.integers(-1, 0))
-        edges.append(EdgeSpec(u, v, tuple(c)))
+        edges.append((u, v, tuple(c)))
         c[a] += 1
-        edges.append(EdgeSpec(u, v, tuple(c)))
-    edges += [EdgeSpec(draw(vertex), draw(vertex), draw(cells)) for _ in range(draw(st.integers(0, 3)))]
-    return build_graph(GraphSpec(d, vertices, tuple(edges)))
+        edges.append((u, v, tuple(c)))
+    edges += [(draw(vertex), draw(vertex), draw(cells)) for _ in range(draw(st.integers(0, 3)))]
+    return build_graph(graph_doc(d, vertices, edges))
 
 
 @settings(max_examples=60, deadline=None)

@@ -80,6 +80,22 @@ def test_edge_integral_kappa_zero_exact():
     np.testing.assert_allclose(rep.estimates, (2.0 * math.pi) ** 2)
 
 
+def test_edge_integral_kappa_zero_counts_the_bands_beyond_the_edge():
+    # (Lambda - E_s)_{+/-}^0 is 1 only where the signed part is positive: one band
+    # of the dimer lies beyond each edge of its interior gap (2, 4), both beyond an outer edge.
+    graph = dimer_chain()
+    bands = band_structure(graph, 64)
+    lower, interior, upper = find_gaps(bands)
+    cases = [(interior, "lower", 1), (interior, "upper", 1), (lower, "upper", 2), (upper, "lower", 2)]
+    for gap, which, beyond in cases:
+        edge = gap_edge(gap, which, graph.nu)
+        rep = edge_integral(bands, edge, 0.0)
+        assert rep.verdict == "convergent"
+        np.testing.assert_allclose(rep.estimates, beyond * 2.0 * math.pi, rtol=1e-15)
+        sweep = edge_integral(bands, edge, 1e-12).estimates
+        assert np.all(np.abs(rep.estimates - sweep) <= rep.estimates / np.array(rep.grids) * (1.0 + 1e-9))
+
+
 def test_chain_edge_divergent():
     bands = band_structure(square_lattice(1), 64)
     edge = gap_edge(find_gaps(bands)[0], "upper", 1)

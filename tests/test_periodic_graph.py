@@ -1,34 +1,35 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
-from test_floquet import diagonal_two_vertex_graph
+from test_floquet import diagonal_two_vertex_graph, graph_doc
 
 from gapcount.periodic_graph import (
-    EdgeSpec,
     GraphError,
-    GraphSpec,
-    VertexSpec,
+    ThetaProfile,
     assemble_truncated,
     box_cells,
     box_sites,
     build_graph,
     dimer_chain,
+    load_graph,
     potential_from_function,
     sample_potential,
     square_lattice,
     theta_const,
     theta_cos2,
+    theta_table,
 )
 
 
-def chain_spec():
-    return GraphSpec(1, (VertexSpec(1, (0.0,)),), (EdgeSpec(1, 1, (1,)),))
+def chain_doc():
+    return graph_doc(1, [(1, (0.0,))], [(1, 1, (1,))])
 
 
 def test_chain_graph():
-    g = build_graph(chain_spec())
+    g = build_graph(chain_doc())
     assert g.nu == 1
     assert g.degrees.tolist() == [2]
 
@@ -40,65 +41,55 @@ def test_dimer_degrees():
 
 
 def test_unknown_vertex_id_rejected():
-    spec = GraphSpec(1, (VertexSpec(1, (0.0,)), VertexSpec(2, (0.5,))), (EdgeSpec(1, 3, (0,)),))
+    doc = graph_doc(1, [(1, (0.0,)), (2, (0.5,))], [(1, 3, (0,))])
     with pytest.raises(GraphError):
-        build_graph(spec)
+        build_graph(doc)
 
 
 def test_offset_out_of_cell_rejected():
-    spec = GraphSpec(1, (VertexSpec(1, (1.0,)),), (EdgeSpec(1, 1, (1,)),))
+    doc = graph_doc(1, [(1, (1.0,))], [(1, 1, (1,))])
     with pytest.raises(GraphError):
-        build_graph(spec)
+        build_graph(doc)
 
 
 def test_zero_cell_loop_dropped():
-    spec = GraphSpec(1, (VertexSpec(1, (0.0,)),), (EdgeSpec(1, 1, (0,)), EdgeSpec(1, 1, (1,))))
-    g = build_graph(spec)
+    doc = graph_doc(1, [(1, (0.0,))], [(1, 1, (0,)), (1, 1, (1,))])
+    g = build_graph(doc)
     assert len(g.edges) == 1
     assert g.degrees.tolist() == [2]
 
 
 def test_disconnected_patch_rejected():
-    spec = GraphSpec(
-        1,
-        (VertexSpec(1, (0.0,)), VertexSpec(2, (0.5,))),
-        (EdgeSpec(1, 1, (1,)), EdgeSpec(2, 2, (1,))),
-    )
+    doc = graph_doc(1, [(1, (0.0,)), (2, (0.5,))], [(1, 1, (1,)), (2, 2, (1,))])
     with pytest.raises(GraphError, match="disconnected"):
-        build_graph(spec)
+        build_graph(doc)
 
 
 def test_connectivity_of_the_infinite_graph():
-    vertex = (VertexSpec(1, (0.0,)),)
+    vertex = [(1, (0.0,))]
     # steps 2 and 3 reach every cell, though no single edge reaches the next one
-    g = build_graph(GraphSpec(1, vertex, (EdgeSpec(1, 1, (2,)), EdgeSpec(1, 1, (3,)))))
+    g = build_graph(graph_doc(1, vertex, [(1, 1, (2,)), (1, 1, (3,))]))
     assert g.degrees.tolist() == [4]
     with pytest.raises(GraphError, match="disconnected"):
-        build_graph(GraphSpec(1, vertex, (EdgeSpec(1, 1, (2,)),)))
+        build_graph(graph_doc(1, vertex, [(1, 1, (2,))]))
     # the cycles of this 2-D graph span only Z x 2Z: vertex 1 sits in the
     # cells of even height, vertex 2 in those of odd height, and vice versa
-    two = (VertexSpec(1, (0.0, 0.0)), VertexSpec(2, (0.5, 0.5)))
-    edges = (EdgeSpec(1, 2, (0, 1)), EdgeSpec(2, 1, (0, 1)), EdgeSpec(1, 1, (1, 0)))
+    two = [(1, (0.0, 0.0)), (2, (0.5, 0.5))]
+    edges = [(1, 2, (0, 1)), (2, 1, (0, 1)), (1, 1, (1, 0))]
     with pytest.raises(GraphError, match="disconnected"):
-        build_graph(GraphSpec(2, two, edges))
-    build_graph(GraphSpec(2, two, edges + (EdgeSpec(2, 2, (0, 1)),)))
+        build_graph(graph_doc(2, two, edges))
+    build_graph(graph_doc(2, two, edges + [(2, 2, (0, 1))]))
 
 
 def test_edge_reversal_canonicalization():
-    spec = GraphSpec(
-        1,
-        (VertexSpec(1, (0.0,)), VertexSpec(2, (0.5,), 2.0)),
-        (EdgeSpec(1, 2, (0,)), EdgeSpec(2, 1, (1,))),
-    )
-    reversed_spec = GraphSpec(
-        spec.dim,
-        spec.vertices,
-        tuple(EdgeSpec(e.to_id, e.from_id, tuple(-c for c in e.cell)) for e in spec.edges),
-    )
-    assert build_graph(spec).edges == build_graph(reversed_spec).edges
+    vertices = [(1, (0.0,)), (2, (0.5,), 2.0)]
+    edges = [(1, 2, (0,)), (2, 1, (1,))]
+    reversed_edges = [(jp, j, tuple(-c for c in n)) for j, jp, n in edges]
+    forward = build_graph(graph_doc(1, vertices, edges))
+    assert forward.edges == build_graph(graph_doc(1, vertices, reversed_edges)).edges
 
 
-def test_from_json_roundtrip(tmp_path):
+def test_load_graph_roundtrip(tmp_path):
     doc = {
         "dim": 1,
         "vertices": [{"id": 1, "offset": [0.0], "Q": 0.5}],
@@ -106,8 +97,21 @@ def test_from_json_roundtrip(tmp_path):
     }
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
-    g = build_graph(GraphSpec.from_json(path))
+    g = load_graph(path)
     assert g.Q.tolist() == [0.5]
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_non_finite_Q_rejected(q):
+    doc = graph_doc(1, [(1, (0.0,)), (2, (0.5,), q)], [(1, 2, (0,)), (2, 1, (1,))])
+    with pytest.raises(GraphError, match="^vertex 2: Q must be finite$"):
+        build_graph(doc)
+
+
+def test_empty_vertex_list_rejected():
+    for edges in ([], [(1, 1, (1,))]):
+        with pytest.raises(GraphError, match="^graph has no vertices$"):
+            build_graph(graph_doc(1, [], edges))
 
 
 def test_truncated_chain_matrix():
@@ -173,6 +177,22 @@ def test_potential_tail_decays():
 def test_negative_theta_rejected():
     with pytest.raises(GraphError):
         sample_potential(square_lattice(1), theta_const(-1.0), 1.0, 3)
+
+
+def test_theta_profile_rejects_negative_or_nan_values(tmp_path):
+    negative = "^theta takes negative values; potential must satisfy V >= 0$"
+    for sup in (-1.0, math.nan):
+        with pytest.raises(GraphError, match=negative):
+            ThetaProfile(lambda u: np.ones(u.shape[0]), sup)
+    u = np.array([[1.0, 0.0], [0.0, 1.0]])
+    for value in (-1.0, math.nan):
+        with pytest.raises(GraphError, match=negative):
+            ThetaProfile(lambda u, value=value: np.array([1.0, value]), 1.0)(u)
+    path = tmp_path / "theta.txt"
+    path.write_text("1 0 1\n0 1 2\n")
+    np.testing.assert_array_equal(theta_table(path)(u), [1.0, 2.0])
+    with pytest.raises(GraphError, match="2-component directions in dimension 3"):
+        theta_table(path)(np.eye(3))
 
 
 def test_potential_homogeneity_in_theta():

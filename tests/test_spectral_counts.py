@@ -54,6 +54,17 @@ def test_scalar_counting_both_routes():
         assert counting_direct(H, v, -1.0, tau, "+").value == 0
 
 
+def test_direct_route_flags_lambda_at_an_eigenvalue_of_the_perturbed_box():
+    # lambda = 1 is an eigenvalue of H + tau V = diag(1, 2) at tau = 1, and of neither at tau = 1/2
+    H = np.diag([0.0, 2.0])
+    v = np.array([1.0, 0.0])
+    X = bs_matrix(H, v, 1.0)
+    assert counting_bs(X, 1.0, "+") == (0, True)
+    assert counting_direct(H, v, 1.0, 1.0, "+") == (1, True)
+    assert counting_bs(X, 0.5, "+") == (0, False)
+    assert counting_direct(H, v, 1.0, 0.5, "+") == (0, False)
+
+
 def test_empty_potential():
     H = np.diag([1.0, 3.0])
     X = bs_matrix(H, np.zeros(2), 2.0)
