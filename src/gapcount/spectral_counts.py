@@ -6,12 +6,15 @@ Two independent routes, neither of which forms a dense n x n array:
   X(lambda) = V^{1/2} (lambda I - H_L)^{-1} V^{1/2}, so that
   N_+ = #{eig X > 1/tau} and N_- = #{eig X < -1/tau}.  X is applied
   through one sparse LU of lambda I - H_L, and only the eigenvalues
-  beyond a threshold are computed, by implicitly restarted Lanczos
-  (ARPACK `eigsh`): k grows until the innermost Ritz value lies inside
-  the threshold by more than its residual, and Ritz vectors beyond it are
-  locked and searched past until a pass finds none.  One such partial
-  spectrum serves every narrower threshold.  Small supports use the
-  dense formed X.
+  beyond a threshold are computed, by one block Lanczos run with full
+  reorthogonalization: the basis grows by a block of 16 columns until the
+  Ritz values down to the first one inside the threshold have settled and
+  their explicit residuals decide the count and the boundary flag.  A
+  block Krylov space holds at most 16 vectors of an eigenspace, so when 16
+  or more returned Ritz values agree within their residuals, those beyond
+  the threshold are locked and further runs on their orthogonal complement
+  follow until one finds nothing beyond.  One such partial spectrum serves
+  every narrower threshold.  Small supports use the dense formed X.
 * Direct spectral inertia: difference of eigenvalue counts below lambda
   between H_L and H_L +/- tau V.  Each count is the number of negative
   pivots of a sparse symmetric LDL^T of A - x I (Sylvester's law of
@@ -33,7 +36,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+from scipy import linalg as sla
+from scipy.sparse.linalg import splu
 
 from .errors import GapcountError
 from .floquet import Gap, band_structure, find_gaps
@@ -52,12 +56,20 @@ _RESOLVENT_TOL = 1e-8
 # trusted for its signs.  Growth near 1/delta comes from a shift delta from
 # the spectrum; below 1/sqrt(eps) the backward error eps/delta stays below delta.
 _PIVOT_GROWTH = 1e7
-# Supports up to this size get the dense formed X; larger ones use eigsh.
+# Supports up to this size get the dense formed X; larger ones block Lanczos.
 _DENSE_SUPPORT = 400
-_EIGSH_START_K = 8
-# ARPACK's tolerance relative to each Ritz value's distance from the
-# threshold; explicit residuals, not this, bound the eigenvalues.
-_EIGSH_TOL = 1e-2
+# Columns the block Lanczos basis grows by at each step.
+_BLOCK = 16
+# A Ritz value has settled once a step moves it by less than this fraction
+# of its distance from the threshold; only then are its residuals formed.
+_SETTLED = 1e-3
+# Blocks per chunk of the stored Lanczos basis.
+_CHUNK = 8
+# Directions of a new block that Gram-Schmidt reduced below this fraction of
+# the block's norm are rounding noise, replaced by random ones; so are those
+# below _RANK_TOL of the block's largest singular value.
+_BREAKDOWN = 1e-12
+_RANK_TOL = 1e-6
 # Rungs of the default lambda ladder toward a gap edge.
 _LADDER_DEPTH = 12
 # Support guard of the asymptotic table: the largest box needs
@@ -280,57 +292,168 @@ class BSMatrix:
         if m <= _DENSE_SUPPORT:
             return self._dense_tail(s)
 
-        # Lanczos on A = s X - threshold: ARPACK accepts a Ritz value once its
-        # residual is below tol times its distance from the threshold, so the
-        # eigenvalues that accumulate at 0 need not be resolved.
-        def shifted(Y):
-            return s * self.apply(Y) - threshold * Y
+        def op(Y):
+            return s * self.apply(Y)
 
-        # Ritz vectors beyond the threshold are locked into U, and each pass
-        # runs on A with U moved far inside, from a fresh start vector, until
-        # a pass finds nothing beyond.  A lone Krylov space holds one vector
-        # per distinct eigenvalue, so the passes also catch repeated ones.
+        # A block Krylov space holds at most _BLOCK vectors of an eigenspace.
+        # So when a pass returns a run of that many Ritz values that agree
+        # within their residuals, the Ritz vectors beyond the threshold are
+        # locked into U, and passes on the complement of U, each from a fresh
+        # start block, follow until one finds nothing beyond.
         rng = np.random.default_rng(0)
-        U, theta, err = np.zeros((m, 0)), np.zeros(0), np.zeros(0)
-        k = _EIGSH_START_K
-        while U.shape[1] + 2 * k + 1 < m:
-            push = 1.0 + float(np.abs(theta).max(initial=0.0))
-
-            def deflated(y, U=U, push=push):
-                c = U.T @ y
-                z = shifted(y - U @ c)
-                return z - U @ (U.T @ z) - push * (U @ c)
-
-            op = LinearOperator((m, m), matvec=deflated, dtype=float)
-            try:
-                w, W = eigsh(op, k, which="LA", v0=rng.standard_normal(m), tol=_EIGSH_TOL)
-            except ArpackError:
-                break
-            # For symmetric X each Ritz value lies within its residual norm
-            # of an eigenvalue.
-            e = np.linalg.norm(shifted(W) - W * w, axis=0)
-            beyond = w >= -_BOUNDARY_TOL - e
-            if not beyond.any():
-                tail = _Tail(theta + threshold, err, threshold)
-                return tail if tail.decides(threshold) else self._dense_tail(s)
-            U = np.hstack([U, W[:, beyond]])
-            theta, err = np.concatenate([theta, w[beyond]]), np.concatenate([err, e[beyond]])
-            if beyond.all():
-                k = max(k, int(1.25 * _tail_rank(theta + threshold, threshold)) + 8 - theta.size)
-            else:
-                k = _EIGSH_START_K
-        return self._dense_tail(s)
+        U = np.zeros((m, 0))
+        mu, err = [], []
+        while True:
+            found = _lanczos_pass(op, threshold, U, rng)
+            if found is None:
+                return self._dense_tail(s)
+            theta, e, ritz_vectors = found
+            beyond = theta >= threshold - _BOUNDARY_TOL
+            if not beyond.any() or (not U.shape[1] and _longest_cluster(theta, e) < _BLOCK):
+                return _Tail(np.concatenate(mu + [theta]), np.concatenate(err + [e]), threshold)
+            mu.append(theta[beyond])
+            err.append(e[beyond])
+            U = np.hstack([U, ritz_vectors(beyond)])
 
 
-def _tail_rank(mu: np.ndarray, threshold: float) -> float:
-    """Rank at which eigenvalues continuing the power law through ranks k/2
-    and k of mu (k = mu.size) reach the threshold; 2k without such a law."""
-    mu = np.sort(mu)[::-1]
-    k = mu.size
-    hi, lo = mu[(k - 1) // 2], mu[-1]
-    if lo > threshold > 0.0 and hi > lo:
-        return k * (lo / threshold) ** (math.log(2.0) / math.log(hi / lo))
-    return 2.0 * k
+def _longest_cluster(theta: np.ndarray, err: np.ndarray) -> int:
+    """Length of the longest run of consecutive sorted values that agree
+    within their error bounds."""
+    close = np.abs(np.diff(theta)) <= err[:-1] + err[1:]
+    breaks = np.flatnonzero(np.concatenate([[True], ~close, [True]]))
+    return int(np.diff(breaks).max())
+
+
+class _Basis:
+    """Orthonormal columns, orthogonal to the locked ones, stored in
+    column-major chunks of _CHUNK blocks.
+
+    Gram-Schmidt against the whole basis then takes a few large products,
+    and memory is committed only for the columns filled so far.
+    """
+
+    def __init__(self, locked: np.ndarray):
+        self.locked = locked
+        self.k = 0  # columns filled
+        self._chunks: list[np.ndarray] = []
+
+    def _filled(self):
+        width = _CHUNK * _BLOCK
+        for i, chunk in enumerate(self._chunks):
+            yield i * width, chunk[:, : min(width, self.k - i * width)]
+
+    def append(self, Q: np.ndarray) -> None:
+        width = _CHUNK * _BLOCK
+        if self.k == len(self._chunks) * width:
+            self._chunks.append(np.empty((self.locked.shape[0], width), order="F"))
+        j = self.k % width
+        self._chunks[-1][:, j : j + Q.shape[1]] = Q
+        self.k += Q.shape[1]
+
+    def project_out(self, W: np.ndarray) -> np.ndarray:
+        """Subtract from W, in place, its components along the locked columns
+        and the basis; return the coefficients on the basis."""
+        if self.locked.shape[1]:
+            W -= self.locked @ (self.locked.T @ W)
+        C = np.concatenate([S.T @ W for _, S in self._filled()] or [np.zeros((0, W.shape[1]))])
+        for i, S in self._filled():
+            W -= S @ C[i : i + S.shape[1]]
+        return C
+
+    def combine(self, Y: np.ndarray) -> np.ndarray:
+        """The vectors whose coefficients in the basis are the columns of Y."""
+        out = np.zeros((self.locked.shape[0], Y.shape[1]))
+        for i, S in self._filled():
+            out += S @ Y[i : i + S.shape[1]]
+        return out
+
+
+def _orthonormalize(W: np.ndarray, scale: float, rng: np.random.Generator):
+    """Q with orthonormal columns and B with W = Q B, from the eigenvectors
+    of W^T W (Stathopoulos & Wu 2002).
+
+    Directions whose singular value is below _RANK_TOL of the largest, which
+    the Gram matrix cannot resolve, or below _BREAKDOWN * scale, which are
+    rounding noise, are dropped from W and random unit columns take their
+    place in Q.
+    """
+    s2, V = np.linalg.eigh(W.T @ W)
+    s = np.sqrt(np.maximum(s2, 0.0))
+    keep = s > max(_RANK_TOL * s[-1], _BREAKDOWN * scale)
+    Q = W @ (V[:, keep] / s[keep])
+    B = (V[:, keep] * s[keep]).T
+    lost = int(np.count_nonzero(~keep))
+    if lost:
+        R = rng.standard_normal((W.shape[0], lost))
+        Q = np.hstack([Q, R / np.linalg.norm(R, axis=0)])
+        B = np.vstack([B, np.zeros((lost, B.shape[1]))])
+    return Q, B
+
+
+def _next_block(W: np.ndarray, basis: _Basis, rng: np.random.Generator):
+    """Q with orthonormal columns, orthogonal to the locked ones and the
+    basis, and C, B with W = locked locked^T W + basis C + Q B, up to the
+    directions that _orthonormalize replaces.  W is overwritten.
+
+    Block classical Gram-Schmidt applied twice, with an orthonormalization
+    after each pass (Barlow & Smoktunowicz 2013).  Random columns that stand
+    in for lost directions let a Krylov space that has become invariant go
+    on into the rest of the space.
+    """
+    scale = np.linalg.norm(W)
+    C = basis.project_out(W)
+    Q, B = _orthonormalize(W, scale, rng)
+    C2 = basis.project_out(Q)
+    Q, B2 = _orthonormalize(Q, 1.0, rng)
+    return Q, C + C2 @ B, B2 @ B
+
+
+def _lanczos_pass(op, threshold: float, U: np.ndarray, rng: np.random.Generator):
+    """Block Lanczos with full reorthogonalization (Golub & Underwood 1977)
+    for the largest eigenvalues of the symmetric op on the complement of U.
+
+    Returns the Ritz values from the largest down to the first one below
+    threshold - 1e-10, their explicit residuals ||op w - theta w|| / ||w||
+    and a function that forms the Ritz vectors of a mask of them, once
+    those residuals decide the count and the boundary flag at the
+    threshold.  Returns None when the basis has no room left for a block.
+    """
+    m = U.shape[0]
+    b = _BLOCK
+    basis = _Basis(U)
+    Q = _next_block(rng.standard_normal((m, b)), basis, rng)[0]
+    T = np.zeros((0, 0))
+    prev = np.zeros(0)
+    while (k := basis.k + b) + b <= m - U.shape[1]:
+        basis.append(Q)
+        Q, C, B = _next_block(op(Q), basis, rng)
+        # T = basis^T op basis grows by the block column C.
+        grown = np.empty((k, k))
+        grown[: k - b, : k - b] = T
+        grown[:, k - b :] = C
+        grown[k - b :, : k - b] = C[: k - b].T
+        grown[k - b :, k - b :] = 0.5 * (C[k - b :] + C[k - b :].T)
+        T = grown
+        theta = np.linalg.eigvalsh(T)[::-1]
+        inside = np.flatnonzero(theta < threshold - _BOUNDARY_TOL)
+        if inside.size and inside[0] < prev.size:
+            r = inside[0] + 1
+            moved = np.abs(theta[:r] - prev[:r])
+            if np.all(moved <= _SETTLED * np.abs(theta[:r] - threshold)):
+                w, Y = sla.eigh(T, subset_by_index=[k - r, k - 1])
+                w, Y = w[::-1], Y[:, ::-1]
+                # op basis Y = basis Y diag(w) + Q B Y_last: the Lanczos residuals
+                lanczos = np.linalg.norm(B @ Y[-b:], axis=0)
+                if _Tail(w, lanczos, threshold).decides(threshold):
+                    e = np.empty(r)
+                    for i in range(0, r, b):
+                        Z = basis.combine(Y[:, i : i + b])
+                        e[i : i + b] = np.linalg.norm(op(Z) - Z * w[i : i + b], axis=0)
+                        e[i : i + b] /= np.linalg.norm(Z, axis=0)
+                    if _Tail(w, e, threshold).decides(threshold):
+                        return w, e, lambda mask: basis.combine(Y[:, mask])
+        prev = theta
+    return None
 
 
 def bs_matrix(H: Matrix, V: np.ndarray, lam: float) -> BSMatrix:

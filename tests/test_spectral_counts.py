@@ -342,7 +342,7 @@ def test_bs_partial_spectrum_below_the_spectrum():
     H = assemble_truncated(graph, 300)
     v = sample_potential(graph, theta_const(1.0), 1.0, 300)
     w = _bs_against_dense(H, v, -1.0, "-", (5.0, 40.0, 20.0, 100.0))
-    assert np.count_nonzero(w < -1.0 / 100.0) > 2 * sc._EIGSH_START_K
+    assert np.count_nonzero(w < -1.0 / 100.0) > 2 * sc._BLOCK
     _bs_against_dense(H, v, -1.0, "+", (5.0, 100.0))
 
 
@@ -360,6 +360,36 @@ def test_bs_partial_spectrum_interior_gap_both_signs():
     _bs_against_dense(H, v, lam, "+", (10.0, pos_edge, 60.0))
     assert counting_bs(bs_matrix(H, v, lam), neg_edge, "-") == (4, True)
     assert counting_bs(bs_matrix(H, v, lam), pos_edge, "+") == (4, True)
+
+
+def test_bs_partial_spectrum_multiplicity_above_the_block():
+    # 24 uncoupled copies of the L = 15 box: every eigenvalue of X is 24-fold,
+    # more than one block Krylov space holds.
+    graph = square_lattice(1)
+    copies = 24
+    H = sp.kron(sp.identity(copies), assemble_truncated(graph, 15).matrix)
+    v = np.tile(sample_potential(graph, theta_const(1.0), 1.0, 15), copies)
+    w = _bs_against_dense(H, v, -1.0, "-", (5.0,))
+    tail = w[w < -1.0 / 5.0]
+    assert tail.size == 120
+    assert np.ptp(tail.reshape(-1, copies), axis=1).max() < 1e-12
+
+
+def test_one_tail_run_serves_every_tau(monkeypatch):
+    graph = square_lattice(1)
+    L = 2000  # the box of acceptance criterion 5
+    X = bs_matrix(assemble_truncated(graph, L), sample_potential(graph, theta_const(1.0), 1.0, L), -1.0)
+    runs = []
+    solve = sc.BSMatrix._partial_spectrum
+
+    def spy(self, *args):
+        runs.append(args)
+        return solve(self, *args)
+
+    monkeypatch.setattr(sc.BSMatrix, "_partial_spectrum", spy)
+    counts = [counting_bs(X, tau, "-").value for tau in (200.0, 100.0, 50.0, 25.0)]
+    assert counts == [179, 89, 45, 23]
+    assert len(runs) == 1
 
 
 # ---------------------------------------------------------------------------
