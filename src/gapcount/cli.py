@@ -179,8 +179,9 @@ def _cmd_count(args) -> int:
     X = bs_matrix(H, V, args.lam)
     cb = counting_bs(X, args.tau, sign)
     cd = counting_direct(H, V, args.lam, args.tau, sign, base=X.below)
-    flags = "boundary" if cb.boundary or cd.boundary else ""
-    _write_csv("lambda,tau,L,N_bs,N_direct,flags", [(args.lam, args.tau, args.L, cb.value, cd.value, flags)], args.out)
+    flags = ["boundary"] * (cb.boundary or cd.boundary) + ["mismatch"] * (cb.value != cd.value)
+    row = (args.lam, args.tau, args.L, cb.value, cd.value, ";".join(flags))
+    _write_csv("lambda,tau,L,N_bs,N_direct,flags", [row], args.out)
     return 0
 
 

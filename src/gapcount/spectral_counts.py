@@ -1,26 +1,30 @@
 """Counting functions N_{+/-}(lambda, tau) on truncated lattices.
 
-Two independent routes, neither of which forms a dense n x n array:
+Two routes, neither of which forms a dense n x n array, share one trusted
+factor of a shifted matrix A - xI: a sparse symmetric LDL^T from SuperLU
+with diagonal pivoting and a minimum-degree ordering, whose negative pivots
+count the eigenvalues of A below x (Sylvester's law of inertia).  A factor
+that left the diagonal or grew its pivots is retried in natural order, then
+replaced by a dense eigensolve and, where a solve is needed, a dense LU.
 
 * Birman-Schwinger: eigenvalue counting for the fixed compact matrix
   X(lambda) = V^{1/2} (lambda I - H_L)^{-1} V^{1/2}, so that
   N_+ = #{eig X > 1/tau} and N_- = #{eig X < -1/tau}.  X is applied
-  through one sparse LU of lambda I - H_L, and only the eigenvalues
-  beyond a threshold are computed, by one block Lanczos run with full
-  reorthogonalization: the basis grows by a block of 16 columns until the
-  Ritz values down to the first one inside the threshold have settled and
-  their explicit residuals decide the count and the boundary flag.  A
-  block Krylov space holds at most 16 vectors of an eigenspace, so when 16
-  or more returned Ritz values agree within their residuals, those beyond
-  the threshold are locked and further runs on their orthogonal complement
-  follow until one finds nothing beyond.  One such partial spectrum serves
-  every narrower threshold.  Small supports use the dense formed X.
+  through the factor of H_L - lambda, whose negative pivots must match the
+  count of H_L below lambda.  Only the eigenvalues beyond a threshold are
+  computed, by one block Lanczos run with full reorthogonalization: the
+  basis grows by a block of 16 columns until the Ritz values down to the
+  first one inside the threshold have settled and their explicit residuals
+  decide the count and the boundary flag.  A block Krylov space holds at
+  most 16 vectors of an eigenspace, so when 16 or more returned Ritz values
+  agree within their residuals, those beyond the threshold are locked and
+  further runs on their orthogonal complement follow until one finds
+  nothing beyond.  One such partial spectrum serves every narrower
+  threshold.  Small supports use the dense formed X.
 * Direct spectral inertia: difference of eigenvalue counts below lambda
-  between H_L and H_L +/- tau V.  Each count is the number of negative
-  pivots of a sparse symmetric LDL^T of A - x I (Sylvester's law of
-  inertia), from SuperLU with diagonal pivoting and a minimum-degree
-  ordering; a factorization that left the diagonal or grew its pivots is
-  retried in natural order, then replaced by a dense eigensolve.
+  between H_L and H_L +/- tau V, each from the factor's negative pivots.
+
+The asymptotic table and `gapcount count` flag `mismatch` on disagreement.
 
 Every counting function takes H_L either as a FiniteHamiltonian or as a
 symmetric matrix, sparse or dense, and V as a float array of site values.
@@ -30,6 +34,7 @@ steps below it take the checked CSC matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -157,20 +162,31 @@ def _coupling(tau: float, sign: str) -> float:
 # eigenvalue counting below a shift
 
 
-def _ldlt_negative_pivots(M: sp.csc_matrix, ordering: str) -> int | None:
-    """#negative pivots of a diagonally pivoted LDL^T of M, None if untrusted."""
-    try:
-        lu = splu(M, permc_spec=ordering, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError:  # an exactly zero pivot column
-        return None
-    if not np.array_equal(lu.perm_r, lu.perm_c):  # left the diagonal
-        return None
-    pivots = lu.U.diagonal()
-    if not np.all(np.isfinite(pivots)):
-        return None
-    if np.abs(lu.U.data).max() > _PIVOT_GROWTH * np.abs(M.data).max():
-        return None
-    return int(np.count_nonzero(pivots < 0.0))
+def _factor(A: sp.csc_matrix, x: float):
+    """#eigenvalues of A strictly below x, the route that counted them, and a
+    solve for A - xI, from one trusted factor.
+
+    With diagonal pivoting P (A - xI) P^T = L U, and diag(U) is the D of an
+    LDL^T, so its negative entries count the eigenvalues below x.  A factor
+    that left the diagonal, has a non-finite pivot or grew its entries beyond
+    _PIVOT_GROWTH is not trusted; minimum-degree order is retried in natural
+    order, then a dense eigensolve counts and a dense LU, formed on the first
+    solve, solves.
+    """
+    n = A.shape[0]
+    M = (A - x * sp.identity(n, format="csc")).tocsc()
+    for ordering, route in (("MMD_AT_PLUS_A", "mmd"), ("NATURAL", "natural")) if n else ():
+        try:
+            lu = splu(M, permc_spec=ordering, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        except RuntimeError:  # an exactly zero pivot column
+            continue
+        pivots = lu.U.diagonal()
+        trusted = np.array_equal(lu.perm_r, lu.perm_c) and np.all(np.isfinite(pivots))
+        if trusted and np.abs(lu.U.data).max() <= _PIVOT_GROWTH * np.abs(M.data).max():
+            return int(np.count_nonzero(pivots < 0.0)), route, lu.solve
+    dense = functools.cache(lambda: sla.lu_factor(M.toarray()))
+    w = np.linalg.eigvalsh(A.toarray())
+    return int(np.count_nonzero(w < x)), "dense", lambda rhs: sla.lu_solve(dense(), rhs)
 
 
 def inertia(A: Matrix, x: float) -> Inertia:
@@ -179,20 +195,8 @@ def inertia(A: Matrix, x: float) -> Inertia:
 
 
 def _inertia(A: sp.csc_matrix, x: float) -> Inertia:
-    """inertia() of a matrix already checked by _symmetric_matrix.
-
-    With diagonal pivoting P (A - xI) P^T = L U, and diag(U) is the D of an
-    LDL^T, so its negative entries count the eigenvalues below x.
-    """
-    n = A.shape[0]
-    M = (A - x * sp.identity(n, format="csc")).tocsc()
-    if n:
-        for ordering, route in (("MMD_AT_PLUS_A", "mmd"), ("NATURAL", "natural")):
-            below = _ldlt_negative_pivots(M, ordering)
-            if below is not None:
-                return Inertia(below, route)
-    w = np.linalg.eigvalsh(A.toarray())
-    return Inertia(int(np.count_nonzero(w < x)), "dense")
+    """inertia() of a matrix already checked by _symmetric_matrix."""
+    return Inertia(*_factor(A, x)[:2])
 
 
 def eigencount_below(A: Matrix, x: float) -> int:
@@ -235,16 +239,19 @@ class _Tail:
 class BSMatrix:
     """V^{1/2} (lambda I - H_L)^{-1} V^{1/2} restricted to the V-support.
 
-    X is applied through one sparse LU of lambda I - H_L.  `matrix` and
-    `eigenvalues` form the dense X on first access; `tail` computes only
-    the eigenvalues beyond a threshold and caches them per sign.
+    X = -V^{1/2} (H_L - lambda)^{-1} V^{1/2} is applied through the trusted
+    factor of H_L - lambda that the direct route's counts also use; its
+    negative pivots must number `below`.  `matrix` and `eigenvalues` form the
+    dense X on first access; `tail` computes only the eigenvalues beyond a
+    threshold and caches them per sign.
     """
 
     support: np.ndarray  # site indices with V > 0
     sqrtv: np.ndarray  # V^{1/2} on the support
     H: sp.csc_matrix  # H_L as checked by bs_matrix, for the direct route to reuse
     below: int  # eigenvalues of H_L below lambda
-    _lu: object | None = field(default=None, repr=False)
+    route: str  # of the factor of H_L - lambda: "mmd", "natural" or "dense"
+    _solve: object = field(repr=False)  # solves (H_L - lambda) Z = R
     _matrix: np.ndarray | None = field(default=None, repr=False)
     _eigenvalues: np.ndarray | None = field(default=None, repr=False)
     _tails: dict[str, list[_Tail]] = field(default_factory=dict, repr=False)
@@ -254,7 +261,7 @@ class BSMatrix:
         Y = np.asarray(Y, dtype=float)
         rhs = np.zeros((self.H.shape[0],) + Y.shape[1:])
         rhs[self.support] = (self.sqrtv * Y.T).T
-        return (self.sqrtv * self._lu.solve(rhs)[self.support].T).T
+        return -(self.sqrtv * self._solve(rhs)[self.support].T).T
 
     @property
     def matrix(self) -> np.ndarray:
@@ -459,14 +466,13 @@ def _lanczos_pass(op, threshold: float, U: np.ndarray, rng: np.random.Generator)
 def bs_matrix(H: Matrix, V: np.ndarray, lam: float) -> BSMatrix:
     """X = V^{1/2} (lambda I - H_L)^{-1} V^{1/2} on the support of V."""
     A = _symmetric_matrix(H)
-    n = A.shape[0]
-    v = _potential(V, n)
+    v = _potential(V, A.shape[0])
     below = _check_resolvent_point(A, lam)
+    negative, route, solve = _factor(A, lam)
+    if negative != below:
+        raise CountingError(f"factor of H_L - lambda has {negative} negative pivots, not {below}")
     support = np.flatnonzero(v > 0.0)
-    X = BSMatrix(support, np.sqrt(v[support]), A, below)
-    if support.size:
-        X._lu = splu((lam * sp.identity(n, format="csc") - A).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    return X
+    return BSMatrix(support, np.sqrt(v[support]), A, below, route, solve)
 
 
 def counting_bs(X: BSMatrix, tau: float, sign: str) -> Count:
@@ -615,6 +621,8 @@ def asymptotic_table(
             flags.append("unstabilized")
         if bnd:
             flags.append("boundary")
+        if nbs != ndir:
+            flags.append("mismatch")
         denom = tau**p * gamma.value
         ratio = nbs / denom if denom > 0 else math.inf
         rows.append(CountRow(lam, tau, chosen_L, nbs, ndir, gamma.value, ratio, tuple(flags)))

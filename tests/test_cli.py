@@ -6,6 +6,7 @@ import pytest
 
 import gapcount.cli
 import gapcount.floquet
+import gapcount.spectral_counts
 from gapcount.cli import main
 from gapcount.floquet import band_values, torus_grid
 from gapcount.pdo_lab import commutator_decay, dp_vs_formula, homogeneous_symbol, torus_one
@@ -116,6 +117,14 @@ def test_count_routes_agree(chain_json, capsys):
     row = capsys.readouterr().out.strip().split("\n")[1].split(",")
     assert row[3] == row[4]  # N_bs == N_direct
     assert int(row[3]) > 0
+
+
+def test_count_flags_a_mismatch_between_the_routes(monkeypatch, capsys):
+    direct = gapcount.spectral_counts._direct_count
+    monkeypatch.setattr(gapcount.spectral_counts, "_direct_count", lambda *args: direct(*args) + 1)
+    args = ["count", "--graph", "square:1", "--lambda", "-1", "--tau", "10", "--L", "150", "--p", "1", "--sign", "minus"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.split("\n")[1] == "-1,10,150,9,10,mismatch"
 
 
 def test_edge_conditions_divergent(chain_json, capsys):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gapcount.floquet import Gap, band_structure, find_gaps
 from gapcount.periodic_graph import (
     assemble_truncated,
     dimer_chain,
+    load_graph,
     sample_potential,
     square_lattice,
     theta_const,
@@ -390,6 +392,86 @@ def test_one_tail_run_serves_every_tau(monkeypatch):
     counts = [counting_bs(X, tau, "-").value for tau in (200.0, 100.0, 50.0, 25.0)]
     assert counts == [179, 89, 45, 23]
     assert len(runs) == 1
+
+
+# ---------------------------------------------------------------------------
+# one trusted factor of H_L - lambda for both routes
+
+# Staggered honeycomb, bands 3.5 +/- sqrt(1/4 + |1 + e^{ik_1} + e^{ik_2}|^2),
+# gap (3, 4).  At lambda = 3.5 and L = 20 a threshold-pivoted LU of
+# lambda - H_L leaves the diagonal and grows its entries by 1e18, so a solve
+# through it is garbage; the BS route must solve through a trusted factor.
+def _honeycomb_box(L: int):
+    graph = load_graph(Path(__file__).parent / "data" / "honeycomb.json")
+    return assemble_truncated(graph, L), sample_potential(graph, theta_const(1.0), 1.0, L)
+
+
+def test_honeycomb_bs_apply_matches_a_dense_solve():
+    H, v = _honeycomb_box(20)
+    X = bs_matrix(H, v, 3.5)
+    Y = np.random.default_rng(0).standard_normal((X.support.size, 16))
+    n = H.matrix.shape[0]
+    rhs = np.zeros((n, 16))
+    rhs[X.support] = X.sqrtv[:, None] * Y
+    ref = X.sqrtv[:, None] * np.linalg.solve(3.5 * np.eye(n) - H.matrix.toarray(), rhs)[X.support]
+    assert np.linalg.norm(X.apply(Y) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("tau, sign, expected", [(4.0, "+", 9), (9.0, "+", 20), (4.0, "-", 9), (9.0, "-", 21)])
+def test_honeycomb_routes_agree_in_the_gap(tau, sign, expected):
+    H, v = _honeycomb_box(20)
+    X = bs_matrix(H, v, 3.5)
+    assert counting_bs(X, tau, sign) == counting_direct(H, v, 3.5, tau, sign, base=X.below) == (expected, False)
+
+
+@pytest.mark.parametrize("tau", [4.0, 9.0])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_honeycomb_routes_match_a_dense_oracle(tau, sign):
+    H, v = _honeycomb_box(10)
+    A = H.matrix.toarray()
+    t = tau if sign == "+" else -tau
+    shift = dense_count(A + t * np.diag(v), 3.5) - dense_count(A, 3.5)
+    expected = -shift if sign == "+" else shift
+    assert counting_bs(bs_matrix(H, v, 3.5), tau, sign).value == expected
+    assert counting_direct(H, v, 3.5, tau, sign).value == expected
+
+
+def test_untrusted_factors_fall_back_to_dense(monkeypatch):
+    graph = dimer_chain()
+    H = assemble_truncated(graph, 150)
+    v = sample_potential(graph, theta_const(1.0), 1.0, 150)  # 602 sites: block Lanczos
+    expected = [(counting_bs(bs_matrix(H, v, 3.0), 10.0, s), counting_direct(H, v, 3.0, 10.0, s)) for s in "+-"]
+    monkeypatch.setattr(sc, "_PIVOT_GROWTH", 0.0)  # no sparse factor is trusted
+    X = bs_matrix(H, v, 3.0)
+    assert X.route == "dense"
+    assert X.support.size > sc._DENSE_SUPPORT
+    assert [(counting_bs(X, 10.0, s), counting_direct(H, v, 3.0, 10.0, s)) for s in "+-"] == expected
+
+
+def test_bs_matrix_rejects_a_factor_that_miscounts(monkeypatch):
+    graph = square_lattice(1)
+    H = assemble_truncated(graph, 20)
+    v = sample_potential(graph, theta_const(1.0), 1.0, 20)
+    factor = sc._factor
+
+    def miscount(A, x):
+        below, route, solve = factor(A, x)
+        return (below + 1, route, solve) if x == -1.0 else (below, route, solve)
+
+    monkeypatch.setattr(sc, "_factor", miscount)
+    with pytest.raises(CountingError, match="negative pivots"):
+        bs_matrix(H, v, -1.0)
+
+
+def test_asymptotic_table_flags_a_mismatch(monkeypatch):
+    direct = sc._direct_count
+    monkeypatch.setattr(sc, "_direct_count", lambda *args: direct(*args) + 1)
+    table = asymptotic_table(
+        square_lattice(1), theta_const(1.0), p=1.0, lam=-1.0, sign="-",
+        tau_list=(2.0,), L_list=(20, 40), grid=32,
+    )
+    assert [r.N_direct - r.N_bs for r in table.rows] == [1]
+    assert "mismatch" in table.rows[0].flags
 
 
 # ---------------------------------------------------------------------------
