@@ -178,7 +178,7 @@ def _cmd_count(args) -> int:
     V = sample_potential(graph, theta, args.p, args.L)
     X = bs_matrix(H, V, args.lam)
     cb = counting_bs(X, args.tau, sign)
-    cd = counting_direct(H, V, args.lam, args.tau, sign, base=X.below)
+    cd = counting_direct(H, V, args.lam, args.tau, sign)
     flags = ["boundary"] * (cb.boundary or cd.boundary) + ["mismatch"] * (cb.value != cd.value)
     row = (args.lam, args.tau, args.L, cb.value, cd.value, ";".join(flags))
     _write_csv("lambda,tau,L,N_bs,N_direct,flags", [row], args.out)

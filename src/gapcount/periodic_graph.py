@@ -341,6 +341,8 @@ def potential_from_function(graph: PeriodicGraph, fn: Callable[[np.ndarray], np.
     values = np.asarray(fn(pos), dtype=float)
     if values.shape != (pos.shape[0],):
         raise GraphError("potential function must return one value per site")
+    if not np.all(np.isfinite(values)):
+        raise GraphError("potential must be finite")
     if values.min() < 0.0:
         raise GraphError("potential must be nonnegative")
     return values

@@ -15,12 +15,12 @@ replaced by a dense eigensolve and, where a solve is needed, a dense LU.
   computed, by one block Lanczos run with full reorthogonalization: the
   basis grows by a block of 16 columns until the Ritz values down to the
   first one inside the threshold have settled and their explicit residuals
-  decide the count and the boundary flag.  A block Krylov space holds at
-  most 16 vectors of an eigenspace, so when 16 or more returned Ritz values
-  agree within their residuals, those beyond the threshold are locked and
-  further runs on their orthogonal complement follow until one finds
-  nothing beyond.  One such partial spectrum serves every narrower
-  threshold.  Small supports use the dense formed X.
+  decide the count and the boundary flag.  The dense formed X decides
+  instead when the support is smaller than two blocks, when the basis has
+  no room for another block, and when 16 or more returned Ritz values
+  agree within their residuals, since a block Krylov space holds at most
+  16 vectors of an eigenspace.  One partial spectrum serves every
+  narrower threshold.
 * Direct spectral inertia: difference of eigenvalue counts below lambda
   between H_L and H_L +/- tau V, each from the factor's negative pivots.
 
@@ -61,8 +61,6 @@ _RESOLVENT_TOL = 1e-8
 # trusted for its signs.  Growth near 1/delta comes from a shift delta from
 # the spectrum; below 1/sqrt(eps) the backward error eps/delta stays below delta.
 _PIVOT_GROWTH = 1e7
-# Supports up to this size get the dense formed X; larger ones block Lanczos.
-_DENSE_SUPPORT = 400
 # Columns the block Lanczos basis grows by at each step.
 _BLOCK = 16
 # A Ritz value has settled once a step moves it by less than this fraction
@@ -129,11 +127,13 @@ class EdgeCountResult:
 
 
 def _symmetric_matrix(H: Matrix) -> sp.csc_matrix:
-    """H_L as a sparse CSC matrix, checked square and symmetric."""
+    """H_L as a sparse CSC matrix, checked square, finite and symmetric."""
     A = H.matrix if isinstance(H, FiniteHamiltonian) else H
     A = sp.csc_matrix(A, dtype=float)
     if A.shape[0] != A.shape[1]:
         raise CountingError(f"matrix must be square, got shape {A.shape}")
+    if not np.all(np.isfinite(A.data)):
+        raise CountingError("matrix entries must be finite")
     asym = abs(A - A.T)
     if asym.nnz and asym.max() > 1e-12 * abs(A).max():
         raise CountingError("matrix must be symmetric")
@@ -144,6 +144,8 @@ def _potential(V: np.ndarray, nsites: int) -> np.ndarray:
     v = np.asarray(V, dtype=float)
     if v.shape != (nsites,):
         raise CountingError("potential not sampled on the same box as H_L")
+    if not np.all(np.isfinite(v)):
+        raise CountingError("potential must be finite")
     if v.size and v.min() < 0.0:
         raise CountingError("potential must be nonnegative")
     return v
@@ -151,8 +153,8 @@ def _potential(V: np.ndarray, nsites: int) -> np.ndarray:
 
 def _coupling(tau: float, sign: str) -> float:
     """The signed coupling +tau or -tau of H_L +/- tau V."""
-    if tau <= 0:
-        raise CountingError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise CountingError("tau must be positive and finite")
     if sign not in ("+", "-"):
         raise CountingError("sign must be '+' or '-'")
     return tau if sign == "+" else -tau
@@ -206,6 +208,8 @@ def eigencount_below(A: Matrix, x: float) -> int:
 
 def _check_resolvent_point(A: sp.csc_matrix, lam: float) -> int:
     """Reject lambda within 1e-8 of the spectrum of A; else #eigenvalues below it."""
+    if not math.isfinite(lam):
+        raise CountingError(f"lambda={lam} must be finite")
     below = _inertia(A, lam - _RESOLVENT_TOL).below
     if _inertia(A, lam + _RESOLVENT_TOL).below > below:
         raise CountingError(
@@ -243,7 +247,10 @@ class BSMatrix:
     factor of H_L - lambda that the direct route's counts also use; its
     negative pivots must number `below`.  `matrix` and `eigenvalues` form the
     dense X on first access; `tail` computes only the eigenvalues beyond a
-    threshold and caches them per sign.
+    threshold, by one block Lanczos run, and caches them per sign.  The
+    dense eigenvalues stand in for that run when the support is smaller
+    than two blocks, when the basis fills up, and when _BLOCK or more Ritz
+    values agree within their residuals.
     """
 
     support: np.ndarray  # site indices with V > 0
@@ -291,36 +298,15 @@ class BSMatrix:
         tails.append(t)
         return t.mu
 
-    def _dense_tail(self, s: float) -> _Tail:
-        return _Tail(s * self.eigenvalues, np.zeros(self.support.size), -math.inf)
-
     def _partial_spectrum(self, s: float, threshold: float) -> _Tail:
-        m = self.support.size
-        if m <= _DENSE_SUPPORT:
-            return self._dense_tail(s)
-
-        def op(Y):
-            return s * self.apply(Y)
-
-        # A block Krylov space holds at most _BLOCK vectors of an eigenspace.
-        # So when a pass returns a run of that many Ritz values that agree
-        # within their residuals, the Ritz vectors beyond the threshold are
-        # locked into U, and passes on the complement of U, each from a fresh
-        # start block, follow until one finds nothing beyond.
-        rng = np.random.default_rng(0)
-        U = np.zeros((m, 0))
-        mu, err = [], []
-        while True:
-            found = _lanczos_pass(op, threshold, U, rng)
-            if found is None:
-                return self._dense_tail(s)
-            theta, e, ritz_vectors = found
-            beyond = theta >= threshold - _BOUNDARY_TOL
-            if not beyond.any() or (not U.shape[1] and _longest_cluster(theta, e) < _BLOCK):
-                return _Tail(np.concatenate(mu + [theta]), np.concatenate(err + [e]), threshold)
-            mu.append(theta[beyond])
-            err.append(e[beyond])
-            U = np.hstack([U, ritz_vectors(beyond)])
+        found = _lanczos_pass(lambda Y: s * self.apply(Y), self.support.size, threshold)
+        # A block Krylov space holds at most _BLOCK vectors of an eigenspace,
+        # so a run of that many Ritz values that agree within their residuals
+        # may hide more copies: the dense X decides then, as it does when the
+        # basis has no room for a block.
+        if found is None or _longest_cluster(*found) >= _BLOCK:
+            return _Tail(s * self.eigenvalues, np.zeros(self.support.size), -math.inf)
+        return _Tail(*found, threshold)
 
 
 def _longest_cluster(theta: np.ndarray, err: np.ndarray) -> int:
@@ -332,15 +318,15 @@ def _longest_cluster(theta: np.ndarray, err: np.ndarray) -> int:
 
 
 class _Basis:
-    """Orthonormal columns, orthogonal to the locked ones, stored in
-    column-major chunks of _CHUNK blocks.
+    """Orthonormal columns of m rows, stored in column-major chunks of
+    _CHUNK blocks.
 
     Gram-Schmidt against the whole basis then takes a few large products,
     and memory is committed only for the columns filled so far.
     """
 
-    def __init__(self, locked: np.ndarray):
-        self.locked = locked
+    def __init__(self, m: int):
+        self.m = m
         self.k = 0  # columns filled
         self._chunks: list[np.ndarray] = []
 
@@ -352,16 +338,14 @@ class _Basis:
     def append(self, Q: np.ndarray) -> None:
         width = _CHUNK * _BLOCK
         if self.k == len(self._chunks) * width:
-            self._chunks.append(np.empty((self.locked.shape[0], width), order="F"))
+            self._chunks.append(np.empty((self.m, width), order="F"))
         j = self.k % width
         self._chunks[-1][:, j : j + Q.shape[1]] = Q
         self.k += Q.shape[1]
 
     def project_out(self, W: np.ndarray) -> np.ndarray:
-        """Subtract from W, in place, its components along the locked columns
-        and the basis; return the coefficients on the basis."""
-        if self.locked.shape[1]:
-            W -= self.locked @ (self.locked.T @ W)
+        """Subtract from W, in place, its components along the basis; return
+        their coefficients."""
         C = np.concatenate([S.T @ W for _, S in self._filled()] or [np.zeros((0, W.shape[1]))])
         for i, S in self._filled():
             W -= S @ C[i : i + S.shape[1]]
@@ -369,7 +353,7 @@ class _Basis:
 
     def combine(self, Y: np.ndarray) -> np.ndarray:
         """The vectors whose coefficients in the basis are the columns of Y."""
-        out = np.zeros((self.locked.shape[0], Y.shape[1]))
+        out = np.zeros((self.m, Y.shape[1]))
         for i, S in self._filled():
             out += S @ Y[i : i + S.shape[1]]
         return out
@@ -398,9 +382,9 @@ def _orthonormalize(W: np.ndarray, scale: float, rng: np.random.Generator):
 
 
 def _next_block(W: np.ndarray, basis: _Basis, rng: np.random.Generator):
-    """Q with orthonormal columns, orthogonal to the locked ones and the
-    basis, and C, B with W = locked locked^T W + basis C + Q B, up to the
-    directions that _orthonormalize replaces.  W is overwritten.
+    """Q with orthonormal columns, orthogonal to the basis, and C, B with
+    W = basis C + Q B, up to the directions that _orthonormalize replaces.
+    W is overwritten.
 
     Block classical Gram-Schmidt applied twice, with an orthonormalization
     after each pass (Barlow & Smoktunowicz 2013).  Random columns that stand
@@ -415,23 +399,25 @@ def _next_block(W: np.ndarray, basis: _Basis, rng: np.random.Generator):
     return Q, C + C2 @ B, B2 @ B
 
 
-def _lanczos_pass(op, threshold: float, U: np.ndarray, rng: np.random.Generator):
+def _lanczos_pass(op, m: int, threshold: float):
     """Block Lanczos with full reorthogonalization (Golub & Underwood 1977)
-    for the largest eigenvalues of the symmetric op on the complement of U.
+    for the largest eigenvalues of the symmetric op on R^m.
 
     Returns the Ritz values from the largest down to the first one below
-    threshold - 1e-10, their explicit residuals ||op w - theta w|| / ||w||
-    and a function that forms the Ritz vectors of a mask of them, once
-    those residuals decide the count and the boundary flag at the
-    threshold.  Returns None when the basis has no room left for a block.
+    threshold - 1e-10 and their explicit residuals ||op w - theta w|| / ||w||,
+    once those residuals decide the count and the boundary flag at the
+    threshold.  Returns None when the basis has no room left for a block,
+    from the start when m is smaller than two blocks.
     """
-    m = U.shape[0]
     b = _BLOCK
-    basis = _Basis(U)
+    if m < 2 * b:
+        return None
+    rng = np.random.default_rng(0)
+    basis = _Basis(m)
     Q = _next_block(rng.standard_normal((m, b)), basis, rng)[0]
     T = np.zeros((0, 0))
     prev = np.zeros(0)
-    while (k := basis.k + b) + b <= m - U.shape[1]:
+    while (k := basis.k + b) + b <= m:
         basis.append(Q)
         Q, C, B = _next_block(op(Q), basis, rng)
         # T = basis^T op basis grows by the block column C.
@@ -458,7 +444,7 @@ def _lanczos_pass(op, threshold: float, U: np.ndarray, rng: np.random.Generator)
                         e[i : i + b] = np.linalg.norm(op(Z) - Z * w[i : i + b], axis=0)
                         e[i : i + b] /= np.linalg.norm(Z, axis=0)
                     if _Tail(w, e, threshold).decides(threshold):
-                        return w, e, lambda mask: basis.combine(Y[:, mask])
+                        return w, e
         prev = theta
     return None
 
@@ -489,26 +475,16 @@ def counting_bs(X: BSMatrix, tau: float, sign: str) -> Count:
 # direct inertia route
 
 
-def counting_direct(
-    H: Matrix,
-    V: np.ndarray,
-    lam: float,
-    tau: float,
-    sign: str,
-    *,
-    base: int | None = None,
-) -> Count:
+def counting_direct(H: Matrix, V: np.ndarray, lam: float, tau: float, sign: str) -> Count:
     """Inertia difference between H_L and H_L +/- tau V below lambda.
 
-    `base`, when given, is the number of eigenvalues of H_L below lambda,
-    counted by a caller that has already checked lambda against sigma(H_L).
     The boundary flag marks lambda within 1e-10 of an eigenvalue of
     H_L +/- tau V, seen as a change of its count across lambda -/+ 1e-10.
     """
     t = _coupling(tau, sign)
     A = _symmetric_matrix(H)
     v = _potential(V, A.shape[0])
-    value = _direct_count(A, v, lam, t, base)
+    value = _direct_count(A, v, lam, t)
     B = A + sp.diags(t * v)
     boundary = _inertia(B, lam - _BOUNDARY_TOL).below != _inertia(B, lam + _BOUNDARY_TOL).below
     return Count(value, boundary)

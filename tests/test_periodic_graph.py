@@ -229,3 +229,16 @@ def test_potentials_line_up_with_the_hamiltonian_sites(graph):
         sample_potential(graph, theta_const(1.0), 1.0, -1)
     with pytest.raises(GraphError, match="radius"):
         potential_from_function(graph, fn, -1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_potential_from_function_rejects_non_finite_values(bad):
+    graph = square_lattice(1)
+
+    def fn(pos):
+        values = np.ones(pos.shape[0])
+        values[3] = bad
+        return values
+
+    with pytest.raises(GraphError, match="finite"):
+        potential_from_function(graph, fn, 30)

@@ -323,10 +323,11 @@ def test_inertia_matches_dense_count(case):
 # the matrix-free partial BS spectrum against the dense formed X
 
 
-def _bs_against_dense(H, v, lam, sign, taus):
+def _bs_against_dense(H, v, lam, sign, taus, *, dense=False):
+    """Check counting_bs against the dense oracle; `dense` says whether the
+    counts must come from the dense X (True) or from block Lanczos (False)."""
     oracle = bs_matrix(H, v, lam)
     X = bs_matrix(H, v, lam)
-    assert X.support.size > sc._DENSE_SUPPORT
     for tau in taus:
         thr = 1.0 / tau
         w = oracle.eigenvalues
@@ -335,7 +336,7 @@ def _bs_against_dense(H, v, lam, sign, taus):
             bool(np.min(np.abs(w - thr if sign == "+" else w + thr)) <= 1e-10),
         )
         assert tuple(counting_bs(X, tau, sign)) == expected
-    assert X._matrix is None  # the dense X was never formed
+    assert (X._matrix is not None) == dense  # whether the dense X was formed
     return oracle.eigenvalues
 
 
@@ -364,14 +365,28 @@ def test_bs_partial_spectrum_interior_gap_both_signs():
     assert counting_bs(bs_matrix(H, v, lam), pos_edge, "+") == (4, True)
 
 
+def test_bs_partial_spectrum_small_support_both_signs():
+    # 162 sites: a small support, on which block Lanczos still decides a short tail
+    graph = dimer_chain()
+    H = assemble_truncated(graph, 40)
+    v = sample_potential(graph, theta_const(1.0), 1.0, 40)
+    for sign in "+-":
+        _bs_against_dense(H, v, 3.0, sign, (10.0, 5.0))
+    assert counting_bs(bs_matrix(H, v, 3.0), 10.0, "-") == (12, False)
+    assert counting_bs(bs_matrix(H, v, 3.0), 10.0, "+") == (13, False)
+    # 52 and 51 eigenvalues lie beyond 1/40: the basis fills before they settle.
+    for sign in "+-":
+        _bs_against_dense(H, v, 3.0, sign, (40.0,), dense=True)
+
+
 def test_bs_partial_spectrum_multiplicity_above_the_block():
     # 24 uncoupled copies of the L = 15 box: every eigenvalue of X is 24-fold,
-    # more than one block Krylov space holds.
+    # more than one block Krylov space holds, so the dense X decides.
     graph = square_lattice(1)
     copies = 24
     H = sp.kron(sp.identity(copies), assemble_truncated(graph, 15).matrix)
     v = np.tile(sample_potential(graph, theta_const(1.0), 1.0, 15), copies)
-    w = _bs_against_dense(H, v, -1.0, "-", (5.0,))
+    w = _bs_against_dense(H, v, -1.0, "-", (5.0,), dense=True)
     tail = w[w < -1.0 / 5.0]
     assert tail.size == 120
     assert np.ptp(tail.reshape(-1, copies), axis=1).max() < 1e-12
@@ -421,7 +436,7 @@ def test_honeycomb_bs_apply_matches_a_dense_solve():
 def test_honeycomb_routes_agree_in_the_gap(tau, sign, expected):
     H, v = _honeycomb_box(20)
     X = bs_matrix(H, v, 3.5)
-    assert counting_bs(X, tau, sign) == counting_direct(H, v, 3.5, tau, sign, base=X.below) == (expected, False)
+    assert counting_bs(X, tau, sign) == counting_direct(H, v, 3.5, tau, sign) == (expected, False)
 
 
 @pytest.mark.parametrize("tau", [4.0, 9.0])
@@ -444,8 +459,8 @@ def test_untrusted_factors_fall_back_to_dense(monkeypatch):
     monkeypatch.setattr(sc, "_PIVOT_GROWTH", 0.0)  # no sparse factor is trusted
     X = bs_matrix(H, v, 3.0)
     assert X.route == "dense"
-    assert X.support.size > sc._DENSE_SUPPORT
     assert [(counting_bs(X, 10.0, s), counting_direct(H, v, 3.0, 10.0, s)) for s in "+-"] == expected
+    assert X._matrix is None  # block Lanczos, not the dense X, counted
 
 
 def test_bs_matrix_rejects_a_factor_that_miscounts(monkeypatch):
@@ -482,6 +497,50 @@ def test_counting_direct_rejects_negative_potential():
     H = np.diag([1.0, 3.0])
     with pytest.raises(CountingError, match="nonnegative"):
         counting_direct(H, np.array([1.0, -0.5]), 2.0, 1.0, "-")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_counting_rejects_a_non_finite_potential(bad):
+    graph = square_lattice(1)
+    H = assemble_truncated(graph, 30)
+    v = sample_potential(graph, theta_const(1.0), 1.0, 30)
+    v[5] = bad
+    gap = find_gaps(band_structure(graph, 32))[0]
+    with pytest.raises(CountingError, match="potential must be finite"):
+        bs_matrix(H, v, -1.0)
+    with pytest.raises(CountingError, match="potential must be finite"):
+        counting_direct(H, v, -1.0, 5.0, "-")
+    with pytest.raises(CountingError, match="potential must be finite"):
+        edge_counting(H, v, gap, 5.0, "-")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_counting_rejects_a_non_finite_matrix(bad):
+    graph = square_lattice(1)
+    A = assemble_truncated(graph, 30).matrix.tolil()
+    A[4, 4] = bad
+    v = sample_potential(graph, theta_const(1.0), 1.0, 30)
+    with pytest.raises(CountingError, match="entries must be finite"):
+        inertia(A, -1.0)
+    with pytest.raises(CountingError, match="entries must be finite"):
+        bs_matrix(A, v, -1.0)
+    with pytest.raises(CountingError, match="entries must be finite"):
+        counting_direct(A, v, -1.0, 5.0, "-")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_counting_rejects_a_non_finite_lambda_or_tau(bad):
+    graph = square_lattice(1)
+    H = assemble_truncated(graph, 30)
+    v = sample_potential(graph, theta_const(1.0), 1.0, 30)
+    with pytest.raises(CountingError, match="lambda"):
+        bs_matrix(H, v, bad)
+    with pytest.raises(CountingError, match="lambda"):
+        counting_direct(H, v, bad, 5.0, "-")
+    with pytest.raises(CountingError, match="tau"):
+        counting_bs(bs_matrix(H, v, -1.0), bad, "-")
+    with pytest.raises(CountingError, match="tau"):
+        counting_direct(H, v, -1.0, bad, "-")
 
 
 def test_counting_direct_raises_on_negative_difference(monkeypatch):
