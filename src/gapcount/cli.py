@@ -212,6 +212,8 @@ def _cmd_pdo(args) -> int:
         _write_csv("L,M,dp_sup,dp_inf,formula", [(args.L, M, est.sup_est, est.inf_est, formula)], args.out)
         return 0
     if args.mode == "cwikel":
+        if args.q is None and args.p == 2.0:
+            raise UsageError("--p 2 needs an explicit --q > 2")
         W = homogeneous_symbol(args.v, args.p, args.dim, args.L)
         q = args.q if args.q is not None else (args.p if args.p > 2 else 2.0)
         ratio = cwikel_ratio(f, W, args.p, q, args.L, M)

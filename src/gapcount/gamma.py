@@ -71,8 +71,8 @@ class EdgeGammaResult:
 
 def sphere_integral(theta: ThetaProfile | Callable, p: float, d: int) -> float:
     """int_{S^{d-1}} theta(w)^p dS(w) for d in {1, 2, 3}."""
-    if p <= 0:
-        raise GammaError("p must be positive")
+    if not 0 < p < math.inf:
+        raise GammaError("p must be positive and finite")
     fn = theta if callable(theta) else None
     if fn is None:
         raise TypeError("theta must be callable")
@@ -154,8 +154,10 @@ def gamma_coefficient(
     theta: ThetaProfile,
 ) -> GammaResult:
     """Gamma_p^{sign}(lambda) at a point strictly outside every band."""
-    if p <= 0:
-        raise GammaError("p must be positive")
+    if not 0 < p < math.inf:
+        raise GammaError("p must be positive and finite")
+    if not math.isfinite(lam):
+        raise GammaError(f"lambda={lam} must be finite")
     for s, (lo, hi) in enumerate(bands.band_extrema):
         if lo - 1e-12 <= lam <= hi + 1e-12:
             raise GammaError(
@@ -179,8 +181,8 @@ def edge_integral(
     Convergent if the last two ladder rungs differ by < 1%; divergent if
     the estimates keep growing; inconclusive otherwise.
     """
-    if kappa < 0:
-        raise GammaError("kappa must be >= 0")
+    if not 0 <= kappa < math.inf:
+        raise GammaError("kappa must be >= 0 and finite")
     graph = bands.graph
     if kappa == 0.0:  # integrand 1 on the bands on the far side of the edge from the gap, else 0
         beyond = edge.band_index + 1 if edge.sign == "+" else graph.nu - edge.band_index
@@ -212,8 +214,8 @@ def weak_edge_membership(bands: BandStructure, edge: GapEdge, p: float) -> WeakM
     over a logarithmic s-grid spanning [1, resolution-limited max].  No
     level is below 1, so only the values F > 1 of the sweep are kept.
     """
-    if p <= 0:
-        raise GammaError("p must be positive")
+    if not 0 < p < math.inf:
+        raise GammaError("p must be positive and finite")
     graph = bands.graph
     d = graph.dim
     M = _WEAK_GRID.get(d, 64)

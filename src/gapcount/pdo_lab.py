@@ -96,8 +96,8 @@ def homogeneous_symbol(
     v: Callable[[np.ndarray], np.ndarray] | float, p: float, d: int, L: int
 ) -> LatticeSymbol:
     """W(n) = v(n/|n|) |n|^{-d/p}, W(0) = 0, truncated to |n|_inf <= L."""
-    if p <= 0:
-        raise PdoError("p must be positive")
+    if not 0 < p < math.inf:
+        raise PdoError("p must be positive and finite")
     pts = box_cells(d, L)
     r = np.linalg.norm(pts, axis=1)
     nz = r > 0.0
@@ -223,7 +223,7 @@ def cwikel_ratio(f: TorusFunction, W: LatticeSymbol, p: float, q: float, L: int,
         ok = q == 2.0
     else:
         ok = q > 2.0
-    if not ok:
+    if not ok or not math.isfinite(q):
         raise PdoError(f"(p={p}, q={q}) outside the admissible regimes")
     if W.L != L:
         raise PdoError("symbol truncation radius does not match L")

@@ -324,8 +324,8 @@ def assemble_truncated(graph: PeriodicGraph, L: int) -> FiniteHamiltonian:
 
 def sample_potential(graph: PeriodicGraph, theta: ThetaProfile, p: float, L: int) -> np.ndarray:
     """V(x) = |x|^{-d/p} theta(x/|x|) at the box sites for |x| >= 1, capped at sup theta inside."""
-    if p <= 0:
-        raise GraphError("p must be positive")
+    if not 0 < p < np.inf:
+        raise GraphError("p must be positive and finite")
     _, pos = box_sites(graph, L)
     r = np.linalg.norm(pos, axis=1)
     values = np.full(pos.shape[0], theta.sup, dtype=float)

@@ -19,12 +19,14 @@ replaced by a dense eigensolve and, where a solve is needed, a dense LU.
   instead when the support is smaller than two blocks, when the basis has
   no room for another block, and when 16 or more returned Ritz values
   agree within their residuals, since a block Krylov space holds at most
-  16 vectors of an eigenspace.  One partial spectrum serves every
-  narrower threshold.
+  16 vectors of an eigenspace.  One partial spectrum per sign is kept and
+  serves every narrower threshold; a wider one replaces it.
 * Direct spectral inertia: difference of eigenvalue counts below lambda
   between H_L and H_L +/- tau V, each from the factor's negative pivots.
 
-The asymptotic table and `gapcount count` flag `mismatch` on disagreement.
+The asymptotic table picks each tau's box by the stabilization of N_bs
+and counts N_direct on that box only; it and `gapcount count` flag
+`mismatch` on disagreement.
 
 Every counting function takes H_L either as a FiniteHamiltonian or as a
 symmetric matrix, sparse or dense, and V as a float array of site values.
@@ -119,7 +121,6 @@ class CountingTable:
 class EdgeCountResult:
     estimate: int
     counts: np.ndarray  # one per rung of default_lambda_ladder
-    stabilized: bool
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +248,8 @@ class BSMatrix:
     factor of H_L - lambda that the direct route's counts also use; its
     negative pivots must number `below`.  `matrix` and `eigenvalues` form the
     dense X on first access; `tail` computes only the eigenvalues beyond a
-    threshold, by one block Lanczos run, and caches them per sign.  The
+    threshold, by one block Lanczos run, and keeps one such tail per sign,
+    replaced when a threshold it cannot decide needs a new run.  The
     dense eigenvalues stand in for that run when the support is smaller
     than two blocks, when the basis fills up, and when _BLOCK or more Ritz
     values agree within their residuals.
@@ -261,7 +263,7 @@ class BSMatrix:
     _solve: object = field(repr=False)  # solves (H_L - lambda) Z = R
     _matrix: np.ndarray | None = field(default=None, repr=False)
     _eigenvalues: np.ndarray | None = field(default=None, repr=False)
-    _tails: dict[str, list[_Tail]] = field(default_factory=dict, repr=False)
+    _tails: dict[str, _Tail] = field(default_factory=dict, repr=False)
 
     def apply(self, Y: np.ndarray) -> np.ndarray:
         """X @ Y for a vector or a block of columns on the support."""
@@ -290,12 +292,9 @@ class BSMatrix:
         """Eigenvalues of +X ('+') or -X ('-') that include every one beyond
         threshold - 1e-10, accurate enough to decide the count beyond the
         threshold and whether one lies within 1e-10 of it."""
-        tails = self._tails.setdefault(sign, [])
-        for t in tails:
-            if t.decides(threshold):
-                return t.mu
-        t = self._partial_spectrum(1.0 if sign == "+" else -1.0, threshold)
-        tails.append(t)
+        t = self._tails.get(sign)
+        if t is None or not t.decides(threshold):
+            t = self._tails[sign] = self._partial_spectrum(1.0 if sign == "+" else -1.0, threshold)
         return t.mu
 
     def _partial_spectrum(self, s: float, threshold: float) -> _Tail:
@@ -407,11 +406,9 @@ def _lanczos_pass(op, m: int, threshold: float):
     threshold - 1e-10 and their explicit residuals ||op w - theta w|| / ||w||,
     once those residuals decide the count and the boundary flag at the
     threshold.  Returns None when the basis has no room left for a block,
-    from the start when m is smaller than two blocks.
+    which holds from the start when m is smaller than two blocks.
     """
     b = _BLOCK
-    if m < 2 * b:
-        return None
     rng = np.random.default_rng(0)
     basis = _Basis(m)
     Q = _next_block(rng.standard_normal((m, b)), basis, rng)[0]
@@ -484,18 +481,17 @@ def counting_direct(H: Matrix, V: np.ndarray, lam: float, tau: float, sign: str)
     t = _coupling(tau, sign)
     A = _symmetric_matrix(H)
     v = _potential(V, A.shape[0])
-    value = _direct_count(A, v, lam, t)
+    value = _direct_count(A, v, lam, t, _check_resolvent_point(A, lam))
     B = A + sp.diags(t * v)
     boundary = _inertia(B, lam - _BOUNDARY_TOL).below != _inertia(B, lam + _BOUNDARY_TOL).below
     return Count(value, boundary)
 
 
-def _direct_count(A: sp.csc_matrix, v: np.ndarray, lam: float, t: float, base: int | None = None) -> int:
-    """counting_direct() for checked operands and the signed coupling t = +/-tau."""
-    if base is None:
-        base = _check_resolvent_point(A, lam)
+def _direct_count(A: sp.csc_matrix, v: np.ndarray, lam: float, t: float, below: int) -> int:
+    """counting_direct() for checked operands, the signed coupling t = +/-tau
+    and the count of A below lambda from _check_resolvent_point or bs_matrix."""
     shifted = _inertia(A + sp.diags(t * v), lam).below
-    value = base - shifted if t > 0 else shifted - base
+    value = below - shifted if t > 0 else shifted - below
     if value < 0:
         raise CountingError(
             f"negative inertia difference {value} at lambda={lam}, tau={abs(t)}: "
@@ -534,9 +530,8 @@ def edge_counting(H: Matrix, V: np.ndarray, gap: Gap, tau: float, sign: str) -> 
     t = _coupling(tau, sign)
     A = _symmetric_matrix(H)
     v = _potential(V, A.shape[0])
-    counts = np.array([_direct_count(A, v, lam, t) for lam in lams])
-    stabilized = counts.size >= 2 and counts[-1] == counts[-2]
-    return EdgeCountResult(int(counts[-1]), counts, bool(stabilized))
+    counts = np.array([_direct_count(A, v, lam, t, _check_resolvent_point(A, lam)) for lam in lams])
+    return EdgeCountResult(int(counts[-1]), counts)
 
 
 def asymptotic_table(
@@ -569,37 +564,27 @@ def asymptotic_table(
         raise CountingError(f"lambda={lam} is not inside a detected gap")
     gamma = gamma_coefficient(bands, lam, p, sign, theta)
 
-    per_L: dict[int, tuple[list[int], list[int], list[bool]]] = {}
+    # Per box: its BS counts in tau_list order, checked H_L, V and count below
+    # lambda; the factor of H_L - lambda goes with the box's BSMatrix.
+    boxes = []
     for L in L_list:
         V = sample_potential(graph, theta, p, L)
         # public, so perfbench times it; checks H_L, V and lambda for both routes
         X = bs_matrix(assemble_truncated(graph, L), V, lam)
         # Widest threshold first, so that one partial spectrum serves every tau.
         cbs = {tau: counting_bs(X, tau, sign) for tau in sorted(tau_list, reverse=True)}
-        nbs, ndir, bnd = [], [], []
-        for tau, t in zip(tau_list, couplings):
-            nbs.append(cbs[tau].value)
-            ndir.append(_direct_count(X.H, V, lam, t, X.below))
-            bnd.append(cbs[tau].boundary)
-        per_L[L] = (nbs, ndir, bnd)
+        boxes.append(([cbs[tau] for tau in tau_list], X.H, V, X.below))
 
     rows = []
-    for it, tau in enumerate(tau_list):
-        chosen_L = L_list[-1]
-        stabilized = False
-        for a, b in zip(L_list, L_list[1:]):
-            if per_L[a][0][it] == per_L[b][0][it]:
-                chosen_L = b
-                stabilized = True
-        nbs, ndir, bnd = (per_L[chosen_L][i][it] for i in range(3))
-        flags = []
-        if not stabilized:
-            flags.append("unstabilized")
-        if bnd:
-            flags.append("boundary")
-        if nbs != ndir:
-            flags.append("mismatch")
+    for it, (tau, t) in enumerate(zip(tau_list, couplings)):
+        nbs = [box[0][it].value for box in boxes]
+        # the larger box of the last pair of consecutive boxes that agree
+        same = [i + 1 for i in range(len(boxes) - 1) if nbs[i] == nbs[i + 1]]
+        i = same[-1] if same else len(boxes) - 1
+        cbs, A, V, below = boxes[i]
+        cb, ndir = cbs[it], _direct_count(A, V, lam, t, below)
+        flags = ["unstabilized"] * (not same) + ["boundary"] * cb.boundary + ["mismatch"] * (cb.value != ndir)
         denom = tau**p * gamma.value
-        ratio = nbs / denom if denom > 0 else math.inf
-        rows.append(CountRow(lam, tau, chosen_L, nbs, ndir, gamma.value, ratio, tuple(flags)))
+        ratio = cb.value / denom if denom > 0 else math.inf
+        rows.append(CountRow(lam, tau, L_list[i], cb.value, ndir, gamma.value, ratio, tuple(flags)))
     return CountingTable(tuple(rows), gamma)

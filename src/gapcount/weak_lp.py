@@ -27,6 +27,8 @@ class WeightedSequence:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
             raise GapcountError("expected a one-dimensional sequence")
+        if not np.all(np.isfinite(v)):
+            raise GapcountError("sequence values must be finite")
         if v.size and v.min() < 0.0:
             raise GapcountError("sequence values must be nonnegative")
         object.__setattr__(self, "values", np.sort(v)[::-1].copy())
@@ -50,8 +52,8 @@ class MembershipVerdict:
 
 def distribution(seq: WeightedSequence, s: float) -> int:
     """#{values > s} (strict inequality)."""
-    if s <= 0:
-        raise GapcountError("s must be positive")
+    if not 0 < s < np.inf:
+        raise GapcountError("s must be positive and finite")
     # values sorted descending: count of entries strictly above s
     return int(np.searchsorted(-seq.values, -s, side="left"))
 
@@ -61,8 +63,8 @@ def weak_quasinorm(seq: WeightedSequence, p: float) -> float:
 
     Equals max_m a_(m) * m^{1/p} over the descending rearrangement.
     """
-    if p <= 0:
-        raise GapcountError("p must be positive")
+    if not 0 < p < np.inf:
+        raise GapcountError("p must be positive and finite")
     n = len(seq)
     if n == 0:
         return 0.0
@@ -77,8 +79,8 @@ def dp_window(seq: WeightedSequence, p: float, window: tuple[float, float]) -> D
     open window, evaluating the left limit s^p n(s-0) where the
     supremum over each constancy interval is attained.
     """
-    if p <= 0:
-        raise GapcountError("p must be positive")
+    if not 0 < p < np.inf:
+        raise GapcountError("p must be positive and finite")
     s_lo, s_hi = window
     if not (0.0 < s_lo < s_hi):
         raise GapcountError("window must satisfy 0 < s_lo < s_hi")
@@ -100,8 +102,8 @@ def membership_verdicts(seq: WeightedSequence, p: float) -> MembershipVerdict:
     across geometric checkpoints.  small_o: the tail profile decays
     toward zero.
     """
-    if p <= 0:
-        raise GapcountError("p must be positive")
+    if not 0 < p < np.inf:
+        raise GapcountError("p must be positive and finite")
     n = len(seq)
     if n < 2 * _MIN_TAIL:
         raise GapcountError("sequence too short for a trend verdict")

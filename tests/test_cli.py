@@ -255,6 +255,37 @@ def test_precondition_errors_exit_2(case, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("gapcount: error: ")
 
 
+NON_FINITE_CASES = {
+    "gamma-lambda-nan": ["gamma", "--graph", "square:1", "--lambda", "nan", "--p", "1", "--sign", "minus"],
+    "gamma-lambda-inf": ["gamma", "--graph", "square:1", "--lambda", "inf", "--p", "1", "--sign", "minus"],
+    "gamma-lambda-minus-inf": ["gamma", "--graph", "square:1", "--lambda=-inf", "--p", "1", "--sign", "minus"],
+    "gamma-p-nan": _GAMMA + ["--graph", "square:1", "--p", "nan"],
+    "edge-kappa-nan": ["edge-conditions", "--graph", "square:1", "--kappa", "nan"],
+    "pdo-cwikel-p-nan": ["pdo", "--mode", "cwikel", "--p", "nan", "--q", "3", "--L", "16"],
+    "weaklp-p-nan": ["weaklp", "--values", "good.txt", "--p", "nan"],
+    "weaklp-nan-value": ["weaklp", "--values", "nan.txt", "--p", "1"],
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_CASES))
+def test_non_finite_inputs_exit_2(case, tmp_path, monkeypatch, capsys):
+    (tmp_path / "good.txt").write_text("\n".join(str(1.0 / m) for m in range(1, 101)))
+    (tmp_path / "nan.txt").write_text("1.0\nnan\n0.5\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(NON_FINITE_CASES[case]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gapcount: error: ") and "finite" in captured.err
+
+
+def test_pdo_cwikel_at_p_2_needs_q(capsys):
+    assert main(["pdo", "--mode", "cwikel", "--p", "2", "--L", "16"]) == 2
+    assert "--q" in capsys.readouterr().err
+    assert main(["pdo", "--mode", "cwikel", "--p", "2", "--q", "3", "--L", "16"]) == 0
+    header, row = capsys.readouterr().out.split()
+    assert header == "p,q,L,ratio" and np.isfinite(float(row.split(",")[-1]))
+
+
 _COUNT = ["count", "--lambda", "-1", "--tau", "10", "--L", "20", "--p", "1", "--sign", "minus"]
 _NEGATIVE_THETA = "theta takes negative values; potential must satisfy V >= 0"
 # Bad theta and graph inputs, each with the one error line it must print.

@@ -127,6 +127,23 @@ def test_weak_membership_cubic_large_p_fails():
     assert rep.weak_member is False
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(bad):
+    bands = band_structure(square_lattice(1), 16)
+    edge = gap_edge(find_gaps(bands)[0], "upper", 1)
+    theta = theta_const(1.0)
+    calls = [
+        lambda: sphere_integral(theta, bad, 1),
+        lambda: gamma_coefficient(bands, -1.0, bad, "-", theta),
+        lambda: gamma_coefficient(bands, bad, 1.0, "-", theta),
+        lambda: weak_edge_membership(bands, edge, bad),
+        lambda: edge_integral(bands, edge, bad),
+    ]
+    for call in calls:
+        with pytest.raises(GammaError, match="finite"):
+            call()
+
+
 def test_default_kappa():
     assert default_kappa(2.0) == 2.0
     assert default_kappa(0.5) == 1.0

@@ -149,6 +149,15 @@ def test_cwikel_regime_validation():
         cwikel_ratio(torus_one(), W, 3.0, 2.0, 16, 128)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_p_and_q_rejected(bad):
+    with pytest.raises(PdoError, match="finite"):
+        homogeneous_symbol(1.0, bad, 1, 16)
+    W = homogeneous_symbol(1.0, 2.0, 1, 16)
+    with pytest.raises(PdoError, match="admissible"):
+        cwikel_ratio(torus_one(), W, 2.0, bad, 16, 128)
+
+
 def test_cwikel_scale_invariance():
     L, M = 32, 256
     W = homogeneous_symbol(1.0, 1.0, 1, L)

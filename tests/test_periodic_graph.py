@@ -242,3 +242,9 @@ def test_potential_from_function_rejects_non_finite_values(bad):
 
     with pytest.raises(GraphError, match="finite"):
         potential_from_function(graph, fn, 30)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_potential_rejects_a_non_finite_p(bad):
+    with pytest.raises(GraphError, match="p must be positive and finite"):
+        sample_potential(square_lattice(1), theta_const(1.0), bad, 10)

@@ -163,7 +163,7 @@ def test_edge_counting_scalar_model():
     gap = Gap(-math.inf, 2.0, "left-semi-infinite", None, 0.1)
     res = edge_counting(H, v, gap, tau=4.0, sign="-")
     assert res.estimate == 1
-    assert res.stabilized
+    assert res.counts[-1] == res.counts[-2]
     assert np.all(np.diff(res.counts) >= 0)
 
 
@@ -206,6 +206,24 @@ def test_asymptotic_table_assembles_each_box_once(monkeypatch):
         tau_list=(2.0,), L_list=(20, 40), grid=32,
     )
     assert sorted(calls) == [20, 40]
+
+
+def test_asymptotic_table_counts_n_direct_once_per_tau(monkeypatch):
+    calls = []
+    direct = sc._direct_count
+
+    def spy(*args):
+        calls.append(args[0].shape[0])
+        return direct(*args)
+
+    monkeypatch.setattr(sc, "_direct_count", spy)
+    table = asymptotic_table(
+        square_lattice(1), theta_const(1.0), p=1.0, lam=-1.0, sign="-",
+        tau_list=(2.0, 4.0), L_list=(20, 40, 80), grid=32,
+    )
+    # one call per tau, on the box its row reports
+    assert calls == [2 * r.L + 1 for r in table.rows]
+    assert all(r.N_bs == r.N_direct for r in table.rows)
 
 
 @pytest.mark.parametrize(
@@ -407,6 +425,28 @@ def test_one_tail_run_serves_every_tau(monkeypatch):
     counts = [counting_bs(X, tau, "-").value for tau in (200.0, 100.0, 50.0, 25.0)]
     assert counts == [179, 89, 45, 23]
     assert len(runs) == 1
+
+
+def test_a_wider_threshold_replaces_the_one_tail_per_sign(monkeypatch):
+    graph = square_lattice(1)
+    H = assemble_truncated(graph, 300)
+    v = sample_potential(graph, theta_const(1.0), 1.0, 300)
+    runs = []
+    solve = sc.BSMatrix._partial_spectrum
+
+    def spy(self, *args):
+        runs.append(args)
+        return solve(self, *args)
+
+    monkeypatch.setattr(sc.BSMatrix, "_partial_spectrum", spy)
+    w = bs_matrix(H, v, -1.0).eigenvalues  # the dense oracle
+    X = bs_matrix(H, v, -1.0)
+    # narrow, wide, then narrow again: the wide run replaces the first tail
+    # and serves the last threshold
+    for tau in (5.0, 100.0, 5.0):
+        assert counting_bs(X, tau, "-") == (np.count_nonzero(w < -1.0 / tau), False)
+    assert len(runs) == 2 and X._matrix is None
+    assert X._tails["-"].start == 1.0 / 100.0
 
 
 # ---------------------------------------------------------------------------

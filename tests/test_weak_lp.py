@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapcount.errors import GapcountError
 from gapcount.weak_lp import (
     WeightedSequence,
     distribution,
@@ -33,6 +34,21 @@ def test_sequence_sorted_and_validated():
     assert seq.values.tolist() == [3.0, 2.0, 1.0]
     with pytest.raises(ValueError):
         WeightedSequence([-1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_rejected(bad):
+    seq = WeightedSequence(1.0 / np.arange(1, 33))
+    calls = [
+        lambda: WeightedSequence([1.0, bad]),
+        lambda: distribution(seq, bad),
+        lambda: weak_quasinorm(seq, bad),
+        lambda: dp_window(seq, bad, (0.1, 0.5)),
+        lambda: membership_verdicts(seq, bad),
+    ]
+    for call in calls:
+        with pytest.raises(GapcountError, match="finite"):
+            call()
 
 
 def test_distribution_examples():
