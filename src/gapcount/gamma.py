@@ -13,6 +13,7 @@ converges geometrically in M.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -178,25 +179,39 @@ def edge_integral(
 ) -> EdgeIntegralReport:
     """Per-grid estimates of sum_s int (Lambda - E_s)_{+/-}^{-kappa} dk.
 
+    The ladder is at least two strictly increasing integer grids, each >= 2.
     Convergent if the last two ladder rungs differ by < 1%; divergent if
     the estimates keep growing; inconclusive otherwise.
     """
     if not 0 <= kappa < math.inf:
         raise GammaError("kappa must be >= 0 and finite")
+    ladder = _check_ladder(ladder)
     graph = bands.graph
     if kappa == 0.0:  # integrand 1 on the bands on the far side of the edge from the gap, else 0
         beyond = edge.band_index + 1 if edge.sign == "+" else graph.nu - edge.band_index
         est = np.full(len(ladder), beyond * (2.0 * math.pi) ** graph.dim)
-        return EdgeIntegralReport(tuple(ladder), est, "convergent")
+        return EdgeIntegralReport(ladder, est, "convergent")
     sums = np.array(
         [_band_power_sums(graph, edge.value, kappa, edge.sign, M).sum() for M in ladder]
     )
     verdict = _ladder_verdict(sums)
-    return EdgeIntegralReport(tuple(ladder), sums, verdict)
+    return EdgeIntegralReport(ladder, sums, verdict)
+
+
+def _check_ladder(ladder) -> tuple[int, ...]:
+    """The ladder as a tuple of ints, checked to be at least two strictly
+    increasing integer grids, each >= 2."""
+    try:
+        grids = tuple(operator.index(M) for M in ladder)
+    except TypeError:
+        grids = ()
+    if len(grids) < 2 or grids[0] < 2 or any(b <= a for a, b in zip(grids, grids[1:])):
+        raise GammaError(f"ladder {ladder!r} must be at least two strictly increasing integer grids >= 2")
+    return grids
 
 
 def _ladder_verdict(est: np.ndarray) -> str:
-    if est.size < 2 or est[-1] == 0.0:
+    if est[-1] == 0.0:
         return "inconclusive"
     rel = abs(est[-1] - est[-2]) / abs(est[-1])
     if rel < 0.01:
@@ -265,10 +280,12 @@ def gamma_at_edge(
     ladder: tuple[int, ...] = (32, 64, 128, 256),
 ) -> EdgeGammaResult:
     """Edge evaluation of Gamma, gated on a convergent integrability verdict."""
+    if not 0 < p < math.inf:
+        raise GammaError("p must be positive and finite")
     if kappa is None:
         kappa = default_kappa(p)
     report = edge_integral(bands, edge, kappa, ladder)
     if report.verdict != "convergent":
         return EdgeGammaResult(report, None)
-    gamma = _gamma_on_grids(bands.graph, edge.value, p, edge.sign, theta, tuple(ladder[-2:]))
+    gamma = _gamma_on_grids(bands.graph, edge.value, p, edge.sign, theta, report.grids[-2:])
     return EdgeGammaResult(report, gamma)

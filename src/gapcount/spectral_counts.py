@@ -32,6 +32,11 @@ Every counting function takes H_L either as a FiniteHamiltonian or as a
 symmetric matrix, sparse or dense, and V as a float array of site values.
 Each public call converts and checks H_L, V, tau and sign once, and the
 steps below it take the checked CSC matrix.
+
+All dense linear algebra here (products by dgemm, eigensolves, norms) goes
+through scipy.linalg, whose OpenBLAS is the one SuperLU links: NumPy bundles
+a second OpenBLAS with its own thread pool, and a Lanczos run that switched
+between the two kept both pools spinning, twice as many threads as cores.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy import linalg as sla
+from scipy.linalg.blas import dgemm
 from scipy.sparse.linalg import splu
 
 from .errors import GapcountError
@@ -188,7 +194,7 @@ def _factor(A: sp.csc_matrix, x: float):
         if trusted and np.abs(lu.U.data).max() <= _PIVOT_GROWTH * np.abs(M.data).max():
             return int(np.count_nonzero(pivots < 0.0)), route, lu.solve
     dense = functools.cache(lambda: sla.lu_factor(M.toarray()))
-    w = np.linalg.eigvalsh(A.toarray())
+    w = sla.eigvalsh(A.toarray(), driver="evd")
     return int(np.count_nonzero(w < x)), "dense", lambda rhs: sla.lu_solve(dense(), rhs)
 
 
@@ -283,7 +289,7 @@ class BSMatrix:
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
             if self.matrix.size:
-                self._eigenvalues = np.linalg.eigvalsh(self.matrix)
+                self._eigenvalues = sla.eigvalsh(self.matrix, driver="evd")
             else:
                 self._eigenvalues = np.zeros(0)
         return self._eigenvalues
@@ -345,16 +351,18 @@ class _Basis:
     def project_out(self, W: np.ndarray) -> np.ndarray:
         """Subtract from W, in place, its components along the basis; return
         their coefficients."""
-        C = np.concatenate([S.T @ W for _, S in self._filled()] or [np.zeros((0, W.shape[1]))])
+        C = np.concatenate(
+            [dgemm(1.0, S, W, trans_a=True) for _, S in self._filled()] or [np.zeros((0, W.shape[1]))]
+        )
         for i, S in self._filled():
-            W -= S @ C[i : i + S.shape[1]]
+            W -= dgemm(1.0, S, C[i : i + S.shape[1]])
         return C
 
     def combine(self, Y: np.ndarray) -> np.ndarray:
         """The vectors whose coefficients in the basis are the columns of Y."""
         out = np.zeros((self.m, Y.shape[1]))
         for i, S in self._filled():
-            out += S @ Y[i : i + S.shape[1]]
+            out += dgemm(1.0, S, Y[i : i + S.shape[1]])
         return out
 
 
@@ -367,15 +375,15 @@ def _orthonormalize(W: np.ndarray, scale: float, rng: np.random.Generator):
     rounding noise, are dropped from W and random unit columns take their
     place in Q.
     """
-    s2, V = np.linalg.eigh(W.T @ W)
+    s2, V = sla.eigh(dgemm(1.0, W, W, trans_a=True), driver="evd")
     s = np.sqrt(np.maximum(s2, 0.0))
     keep = s > max(_RANK_TOL * s[-1], _BREAKDOWN * scale)
-    Q = W @ (V[:, keep] / s[keep])
+    Q = dgemm(1.0, W, V[:, keep] / s[keep])
     B = (V[:, keep] * s[keep]).T
     lost = int(np.count_nonzero(~keep))
     if lost:
         R = rng.standard_normal((W.shape[0], lost))
-        Q = np.hstack([Q, R / np.linalg.norm(R, axis=0)])
+        Q = np.hstack([Q, R / sla.norm(R, axis=0)])
         B = np.vstack([B, np.zeros((lost, B.shape[1]))])
     return Q, B
 
@@ -390,12 +398,12 @@ def _next_block(W: np.ndarray, basis: _Basis, rng: np.random.Generator):
     in for lost directions let a Krylov space that has become invariant go
     on into the rest of the space.
     """
-    scale = np.linalg.norm(W)
+    scale = sla.norm(W.ravel("K"))  # 1-D, so that BLAS nrm2 forms it
     C = basis.project_out(W)
     Q, B = _orthonormalize(W, scale, rng)
     C2 = basis.project_out(Q)
     Q, B2 = _orthonormalize(Q, 1.0, rng)
-    return Q, C + C2 @ B, B2 @ B
+    return Q, C + dgemm(1.0, C2, B), dgemm(1.0, B2, B)
 
 
 def _lanczos_pass(op, m: int, threshold: float):
@@ -424,7 +432,7 @@ def _lanczos_pass(op, m: int, threshold: float):
         grown[k - b :, : k - b] = C[: k - b].T
         grown[k - b :, k - b :] = 0.5 * (C[k - b :] + C[k - b :].T)
         T = grown
-        theta = np.linalg.eigvalsh(T)[::-1]
+        theta = sla.eigvalsh(T, driver="evd")[::-1]
         inside = np.flatnonzero(theta < threshold - _BOUNDARY_TOL)
         if inside.size and inside[0] < prev.size:
             r = inside[0] + 1
@@ -433,13 +441,13 @@ def _lanczos_pass(op, m: int, threshold: float):
                 w, Y = sla.eigh(T, subset_by_index=[k - r, k - 1])
                 w, Y = w[::-1], Y[:, ::-1]
                 # op basis Y = basis Y diag(w) + Q B Y_last: the Lanczos residuals
-                lanczos = np.linalg.norm(B @ Y[-b:], axis=0)
+                lanczos = sla.norm(dgemm(1.0, B, Y[-b:]), axis=0)
                 if _Tail(w, lanczos, threshold).decides(threshold):
                     e = np.empty(r)
                     for i in range(0, r, b):
                         Z = basis.combine(Y[:, i : i + b])
-                        e[i : i + b] = np.linalg.norm(op(Z) - Z * w[i : i + b], axis=0)
-                        e[i : i + b] /= np.linalg.norm(Z, axis=0)
+                        e[i : i + b] = sla.norm(op(Z) - Z * w[i : i + b], axis=0)
+                        e[i : i + b] /= sla.norm(Z, axis=0)
                     if _Tail(w, e, threshold).decides(threshold):
                         return w, e
         prev = theta

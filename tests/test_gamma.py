@@ -159,6 +159,24 @@ def test_gamma_at_edge_gated_on_divergence():
     assert res.gamma is None
 
 
+@pytest.mark.parametrize("ladder", [(32, 32), (0, 4), (32.5, 64), ()])
+def test_edge_ladder_must_be_increasing_integer_grids(ladder):
+    bands = band_structure(square_lattice(3), 16)
+    edge = gap_edge(find_gaps(bands)[0], "upper", 1)
+    with pytest.raises(GammaError, match="ladder"):
+        edge_integral(bands, edge, 1.0, ladder)
+    with pytest.raises(GammaError, match="ladder"):
+        gamma_at_edge(bands, edge, 0.5, theta_const(1.0), ladder=ladder)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gamma_at_edge_rejects_a_non_finite_p_by_name(bad):
+    bands = band_structure(square_lattice(3), 16)
+    edge = gap_edge(find_gaps(bands)[0], "upper", 1)
+    with pytest.raises(GammaError, match="p must be positive and finite"):
+        gamma_at_edge(bands, edge, bad, theta_const(1.0))
+
+
 def cubic_gamma_trapezoid(lam: float, p: float, M: int) -> float:
     """Gamma_p^-(lam) of square:3 with theta = 1: trapezoid sum of the closed-form band on M^3 points."""
     e1 = 2.0 - 2.0 * np.cos(-math.pi + 2.0 * math.pi * np.arange(M) / M)

@@ -1,3 +1,4 @@
+import ast
 import math
 from pathlib import Path
 
@@ -683,3 +684,28 @@ def test_asymptotic_table_square2_large_coupling():
     assert all(r.N_bs == r.N_direct for r in table.rows)
     assert not any("unstabilized" in r.flags for r in table.rows)
     assert 0.8 <= table.rows[-1].ratio <= 1.2
+
+
+# ---------------------------------------------------------------------------
+# one BLAS
+
+
+def test_counting_takes_no_numpy_blas_route():
+    """Every dense product and eigensolve goes through scipy.linalg, whose
+    OpenBLAS SuperLU also links, so that the OpenBLAS copies that NumPy and
+    SciPy each bundle never alternate their thread pools in one count."""
+    found = []
+    for node in ast.walk(ast.parse(Path(sc.__file__).read_text())):
+        if isinstance(getattr(node, "op", None), ast.MatMult):
+            found.append(("@", node.lineno))
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else ""
+            numpy_blas = owner in ("np", "numpy") and node.attr in ("linalg", "matmul", "inner", "tensordot")
+            if node.attr == "dot" or numpy_blas:
+                found.append((f"{owner}.{node.attr}", node.lineno))
+        elif isinstance(node, ast.Import):
+            found += [(a.name, node.lineno) for a in node.names if a.name.startswith("numpy.linalg")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+            found += [(n, node.lineno) for n in names if n.startswith("numpy.linalg")]
+    assert not found
