@@ -205,7 +205,7 @@ def _cmd_asymptotics(args) -> int:
 
 def _cmd_pdo(args) -> int:
     f = parse_torus_function(args.f)
-    M = args.M or 8 * args.L
+    M = 8 * args.L if args.M is None else args.M
     if args.mode == "dp":
         g = parse_torus_function(args.g)
         est, formula = dp_vs_formula(f, args.v, g, args.p, args.L, M, d=args.dim)

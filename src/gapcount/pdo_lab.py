@@ -98,6 +98,8 @@ def homogeneous_symbol(
     """W(n) = v(n/|n|) |n|^{-d/p}, W(0) = 0, truncated to |n|_inf <= L."""
     if not 0 < p < math.inf:
         raise PdoError("p must be positive and finite")
+    if d < 1 or L < 1:
+        raise PdoError(f"dimension d={d} and truncation radius L={L} must be at least 1")
     pts = box_cells(d, L)
     r = np.linalg.norm(pts, axis=1)
     nz = r > 0.0

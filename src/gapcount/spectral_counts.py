@@ -24,6 +24,12 @@ replaced by a dense eigensolve and, where a solve is needed, a dense LU.
 * Direct spectral inertia: difference of eigenvalue counts below lambda
   between H_L and H_L +/- tau V, each from the factor's negative pivots.
 
+Each lambda is first certified a resolvent point of H_L, at least 1e-8
+from its spectrum, by Sylvester counts below lambda -/+ 1e-8.  A ladder of
+lambdas toward a gap edge needs only one such pair, below its lowest rung
+and above its highest: equal counts leave no eigenvalue anywhere in the
+ladder's span, and only an eigenvalue inside it makes the rungs bisect.
+
 The asymptotic table picks each tau's box by the stabilization of N_bs
 and counts N_direct on that box only; it and `gapcount count` flag
 `mismatch` on disagreement.
@@ -215,14 +221,51 @@ def eigencount_below(A: Matrix, x: float) -> int:
 
 def _check_resolvent_point(A: sp.csc_matrix, lam: float) -> int:
     """Reject lambda within 1e-8 of the spectrum of A; else #eigenvalues below it."""
-    if not math.isfinite(lam):
-        raise CountingError(f"lambda={lam} must be finite")
-    below = _inertia(A, lam - _RESOLVENT_TOL).below
-    if _inertia(A, lam + _RESOLVENT_TOL).below > below:
+    return int(_resolvent_counts(A, [lam])[0])
+
+
+def _resolvent_counts(A: sp.csc_matrix, lams) -> np.ndarray:
+    """#eigenvalues of A below each lambda, rejecting any lambda within 1e-8
+    of the spectrum of A.
+
+    By Sylvester's law of inertia, equal counts below min(lams) - 1e-8 and
+    max(lams) + 1e-8 leave no eigenvalue in the span, and every lambda gets
+    that count.  Otherwise the sorted lambdas split in half, each half
+    certified the same way from the counts at its ends; a single lambda is
+    rejected when A has more eigenvalues below lambda + 1e-8 than below
+    lambda - 1e-8.  Of several rejected lambdas the error names the first in
+    the order given.
+    """
+    lams = np.asarray(lams, dtype=float)
+    for lam in lams:
+        if not math.isfinite(lam):
+            raise CountingError(f"lambda={lam} must be finite")
+    order = np.argsort(lams, kind="stable")
+    x = lams[order]
+    counts = np.empty(x.size, dtype=int)
+    rejected = []
+
+    def certify(i: int, j: int, lo: int, hi: int) -> None:
+        # x[i:j], with lo and hi the counts below x[i] - tol and x[j - 1] + tol
+        if j - i > 1 and lo != hi:
+            m = (i + j) // 2
+            certify(i, m, lo, _inertia(A, x[m - 1] + _RESOLVENT_TOL).below)
+            certify(m, j, _inertia(A, x[m] - _RESOLVENT_TOL).below, hi)
+        elif hi > lo:
+            rejected.append(order[i])
+        else:
+            counts[i:j] = lo
+
+    if x.size:
+        lo = _inertia(A, x[0] - _RESOLVENT_TOL).below
+        certify(0, x.size, lo, _inertia(A, x[-1] + _RESOLVENT_TOL).below)
+    if rejected:
         raise CountingError(
-            f"lambda={lam} is within {_RESOLVENT_TOL} of an eigenvalue of H_L"
+            f"lambda={lams[min(rejected)]} is within {_RESOLVENT_TOL} of an eigenvalue of H_L"
         )
-    return below
+    out = np.empty_like(counts)
+    out[order] = counts
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +540,7 @@ def counting_direct(H: Matrix, V: np.ndarray, lam: float, tau: float, sign: str)
 
 def _direct_count(A: sp.csc_matrix, v: np.ndarray, lam: float, t: float, below: int) -> int:
     """counting_direct() for checked operands, the signed coupling t = +/-tau
-    and the count of A below lambda from _check_resolvent_point or bs_matrix."""
+    and the count of A below lambda from _resolvent_counts or bs_matrix."""
     shifted = _inertia(A + sp.diags(t * v), lam).below
     value = below - shifted if t > 0 else shifted - below
     if value < 0:
@@ -533,12 +576,20 @@ def default_lambda_ladder(gap: Gap, sign: str) -> np.ndarray:
 
 
 def edge_counting(H: Matrix, V: np.ndarray, gap: Gap, tau: float, sign: str) -> EdgeCountResult:
-    """Monotone lambda-limit of the counting function at a gap edge."""
+    """Monotone lambda-limit of the counting function at a gap edge.
+
+    One pair of Sylvester counts, below the lowest rung - 1e-8 and the
+    highest + 1e-8, certifies every rung as a resolvent point of H_L when
+    they agree; when an eigenvalue lies inside the ladder's span, the rungs
+    are bisected until each part is certified or a rung is rejected.  Each
+    rung then costs one count of H_L +/- tau V.
+    """
     lams = default_lambda_ladder(gap, sign)
     t = _coupling(tau, sign)
     A = _symmetric_matrix(H)
     v = _potential(V, A.shape[0])
-    counts = np.array([_direct_count(A, v, lam, t, _check_resolvent_point(A, lam)) for lam in lams])
+    below = _resolvent_counts(A, lams)
+    counts = np.array([_direct_count(A, v, lam, t, b) for lam, b in zip(lams, below)])
     return EdgeCountResult(int(counts[-1]), counts)
 
 

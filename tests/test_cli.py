@@ -184,6 +184,26 @@ def test_pdo_dp_mode(tmp_path):
     assert float(row.split(",")[-1]) == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--mode", "dp", "--L", "0"],
+        ["--mode", "dp", "--L", "-2"],
+        ["--mode", "cwikel", "--L", "0"],
+        ["--mode", "dp", "--L", "8", "--dim", "0"],
+        ["--mode", "commutator", "--L", "0"],
+        ["--mode", "dp", "--L", "8", "--M", "0"],
+        ["--mode", "cwikel", "--L", "8", "--M", "0"],
+    ],
+    ids=["dp-L0", "dp-L-2", "cwikel-L0", "dp-dim0", "commutator-L0", "dp-M0", "cwikel-M0"],
+)
+def test_pdo_rejects_an_empty_box_or_grid(args, capsys):
+    assert main(["pdo", "--p", "1", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gapcount: error:")
+
+
 def test_pdo_commutator_vector_lag(capsys):
     code = main(["pdo", "--mode", "commutator", "--p", "1", "--dim", "2", "--L", "3", "--coeffs", '{"1,0": 1.0}'])
     assert code == 0

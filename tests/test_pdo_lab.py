@@ -149,6 +149,12 @@ def test_cwikel_regime_validation():
         cwikel_ratio(torus_one(), W, 3.0, 2.0, 16, 128)
 
 
+@pytest.mark.parametrize("d, L", [(1, 0), (1, -2), (0, 8), (2, 0)])
+def test_homogeneous_symbol_rejects_an_empty_box(d, L):
+    with pytest.raises(PdoError, match="at least 1"):
+        homogeneous_symbol(1.0, 1.0, d, L)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_p_and_q_rejected(bad):
     with pytest.raises(PdoError, match="finite"):

@@ -177,6 +177,59 @@ def test_edge_counting_ladder_nondecreasing_chain():
     assert np.all(np.diff(res.counts) >= 0)
 
 
+def test_edge_counting_certifies_the_ladder_with_two_counts(monkeypatch):
+    graph = square_lattice(1)
+    H = assemble_truncated(graph, 200)
+    V = sample_potential(graph, theta_const(1.0), 1.0, 200)
+    gap = find_gaps(band_structure(graph, 32))[0]
+    calls = []
+    factor = sc._factor
+    monkeypatch.setattr(sc, "_factor", lambda A, x: calls.append(x) or factor(A, x))
+    edge_counting(H, V, gap, tau=10.0, sign="-")
+    # two resolvent counts for the whole ladder, then one shifted count per rung
+    assert len(calls) == 2 + sc._LADDER_DEPTH
+
+
+def test_edge_counting_bisects_a_ladder_around_an_eigenvalue():
+    H = np.diag([-1.0, 0.6, 2.0])
+    v = np.array([1.0, 0.0, 1.0])
+    gap = Gap(0.0, 1.0, "interior", 2, 0.1)
+    lams = default_lambda_ladder(gap, "-")
+    assert lams[0] < 0.6 < lams[1]  # the eigenvalue lies inside the ladder's span
+    A = sc._symmetric_matrix(H)
+    want = [sc._direct_count(A, v, lam, -3.0, sc._check_resolvent_point(A, lam)) for lam in lams]
+    np.testing.assert_array_equal(edge_counting(H, v, gap, tau=3.0, sign="-").counts, want)
+    np.testing.assert_array_equal(sc._resolvent_counts(A, lams), [1] + [2] * (lams.size - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-8, 8), min_size=1, max_size=12),
+    st.lists(st.integers(-10, 10), min_size=1, max_size=14),
+)
+def test_resolvent_counts_match_a_dense_oracle(eigenvalues, lambdas):
+    # quarter steps, some shifted by 0.1: each lambda is on an eigenvalue or
+    # at least 0.1 from every one, and a ladder may straddle several
+    ev = np.array(eigenvalues) / 4.0
+    lams = np.array(lambdas) / 4.0 + 0.1 * (np.array(lambdas) % 3 == 1)
+    A = sc._symmetric_matrix(np.diag(ev))
+    on = [lam for lam in lams if np.any(ev == lam)]
+    if on:
+        # the first lambda on the spectrum, in the order given
+        with pytest.raises(CountingError, match=f"lambda={on[0]} is within"):
+            sc._resolvent_counts(A, lams)
+    else:
+        np.testing.assert_array_equal(sc._resolvent_counts(A, lams), [np.count_nonzero(ev < lam) for lam in lams])
+
+
+def test_edge_counting_rejects_a_rung_on_an_eigenvalue():
+    H = np.diag([-1.0, 0.75, 2.0])
+    v = np.array([1.0, 0.0, 1.0])
+    gap = Gap(0.0, 1.0, "interior", 2, 0.1)
+    with pytest.raises(CountingError, match=r"lambda=0\.75 is within"):
+        edge_counting(H, v, gap, tau=3.0, sign="-")
+
+
 def test_asymptotic_table_schema_and_identity():
     table = asymptotic_table(
         square_lattice(1),
