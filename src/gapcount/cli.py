@@ -204,7 +204,22 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_pdo(args) -> int:
-    f = parse_torus_function(args.f)
+    if args.mode == "commutator":
+        # the commutator's symbol comes from --coeffs alone, on the box itself
+        for flag in ("f", "M"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} does not apply to --mode commutator")
+        W = homogeneous_symbol(args.v, args.p, args.dim, args.L)
+        # one integer per axis, comma-separated: "1" in d = 1, "1,0" in d = 2
+        try:
+            coeffs = {tuple(map(int, t.split(","))): complex(c) for t, c in json.loads(args.coeffs).items()}
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise UsageError(f"--coeffs must map lags like \"1,0\" to numbers: {exc}") from exc
+        rep = commutator_decay(coeffs, W, args.p, args.L)
+        rows = zip(range(1, len(rep.svalues) + 1), rep.svalues.values.tolist(), rep.products.tolist())
+        _write_csv("m,s_m,m^{1/p}s_m", rows, args.out)
+        return 0
+    f = parse_torus_function("one" if args.f is None else args.f)
     M = 8 * args.L if args.M is None else args.M
     if args.mode == "dp":
         g = parse_torus_function(args.g)
@@ -218,17 +233,6 @@ def _cmd_pdo(args) -> int:
         q = args.q if args.q is not None else (args.p if args.p > 2 else 2.0)
         ratio = cwikel_ratio(f, W, args.p, q, args.L, M)
         _write_csv("p,q,L,ratio", [(args.p, q, args.L, ratio)], args.out)
-        return 0
-    if args.mode == "commutator":
-        W = homogeneous_symbol(args.v, args.p, args.dim, args.L)
-        # one integer per axis, comma-separated: "1" in d = 1, "1,0" in d = 2
-        try:
-            coeffs = {tuple(map(int, t.split(","))): complex(c) for t, c in json.loads(args.coeffs).items()}
-        except (ValueError, TypeError, AttributeError) as exc:
-            raise UsageError(f"--coeffs must map lags like \"1,0\" to numbers: {exc}") from exc
-        rep = commutator_decay(coeffs, W, args.p, args.L)
-        rows = zip(range(1, len(rep.svalues) + 1), rep.svalues.values.tolist(), rep.products.tolist())
-        _write_csv("m,s_m,m^{1/p}s_m", rows, args.out)
         return 0
     raise UsageError(f"unknown pdo mode {args.mode!r}")
 
@@ -331,13 +335,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pdo", help="finite-section pseudodifferential experiments")
     add_common(p, graph=False)
     p.add_argument("--mode", choices=("dp", "cwikel", "commutator"), required=True)
-    p.add_argument("--f", default="one", help="torus function preset (one | halftorus | exp:<lags>)")
+    p.add_argument("--f", help="torus function preset (one | halftorus | exp:<lags>), default one; dp and cwikel only")
     p.add_argument("--g", default="one")
     p.add_argument("--v", type=float, default=1.0, help="constant angular factor of the lattice symbol")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--M", type=int, default=None)
+    p.add_argument("--M", type=int, default=None, help="torus grid per axis, default 8 L; dp and cwikel only")
     p.add_argument("--dim", type=int, default=1, help="lattice dimension d of the symbol, in every mode")
     p.add_argument("--coeffs", default='{"1": 1.0}', help='JSON lag->coefficient map, lags like "1" or "1,0"')
     p.set_defaults(fn=_cmd_pdo)

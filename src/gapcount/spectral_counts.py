@@ -32,7 +32,9 @@ ladder's span, and only an eigenvalue inside it makes the rungs bisect.
 
 The asymptotic table picks each tau's box by the stabilization of N_bs
 and counts N_direct on that box only; it and `gapcount count` flag
-`mismatch` on disagreement.
+`mismatch` on disagreement.  Every box is built and its lambda checked,
+but the BS tails run from the largest box down and, below the two largest,
+only for the taus that no agreeing pair above has settled.
 
 Every counting function takes H_L either as a FiniteHamiltonian or as a
 symmetric matrix, sparse or dense, and V as a float array of site values.
@@ -604,12 +606,25 @@ def asymptotic_table(
     *,
     grid: int = 64,
 ) -> CountingTable:
-    """Stabilization-in-L counting table compared against tau^p Gamma."""
+    """Stabilization-in-L counting table compared against tau^p Gamma.
+
+    Each tau's row takes the larger box of the last pair of consecutive boxes
+    whose N_bs agree, or the largest box, flagged unstabilized, when no pair
+    agrees.  Every box is built and its lambda checked as a resolvent point,
+    but the BS tails run from the largest box down: the two largest count
+    every tau, a smaller box only the taus that no pair above it has settled,
+    and none once every tau has settled.  N_direct is counted once per tau,
+    on its row's box.
+    """
     tau_list = list(tau_list)
+    if not tau_list:
+        raise CountingError("tau_list must not be empty")
     couplings = [_coupling(tau, sign) for tau in tau_list]
     L_list = sorted(L_list)
     if not L_list or any(b <= a for a, b in zip(L_list, L_list[1:])):
         raise CountingError("L_list must be strictly increasing")
+    if any(not isinstance(L, (int, np.integer)) or L < 0 for L in L_list):
+        raise CountingError(f"box radii must be integers >= 0, got {L_list}")
     Lmax = L_list[-1]
     for tau in tau_list:
         need = _SUPPORT_C * tau ** (p / graph.dim)
@@ -623,26 +638,35 @@ def asymptotic_table(
         raise CountingError(f"lambda={lam} is not inside a detected gap")
     gamma = gamma_coefficient(bands, lam, p, sign, theta)
 
-    # Per box: its BS counts in tau_list order, checked H_L, V and count below
-    # lambda; the factor of H_L - lambda goes with the box's BSMatrix.
+    # Per box: V and its BSMatrix, which holds the checked H_L, the count below
+    # lambda and the factor of H_L - lambda.
     boxes = []
     for L in L_list:
         V = sample_potential(graph, theta, p, L)
         # public, so perfbench times it; checks H_L, V and lambda for both routes
-        X = bs_matrix(assemble_truncated(graph, L), V, lam)
-        # Widest threshold first, so that one partial spectrum serves every tau.
-        cbs = {tau: counting_bs(X, tau, sign) for tau in sorted(tau_list, reverse=True)}
-        boxes.append(([cbs[tau] for tau in tau_list], X.H, V, X.below))
+        boxes.append((V, bs_matrix(assemble_truncated(graph, L), V, lam)))
+
+    # BS counts by (box, tau), from the largest box down.  Box i settles a tau
+    # at box i + 1 when the two agree; unsettled taus go widest threshold
+    # first, so that one partial spectrum per box serves them all.
+    top = len(boxes) - 1
+    cbs, settled = {}, {}
+    unsettled = sorted(set(tau_list), reverse=True)
+    for i in range(top, -1, -1):
+        if not unsettled:
+            break
+        for tau in unsettled:
+            cbs[i, tau] = counting_bs(boxes[i][1], tau, sign)
+        if i < top:
+            settled.update((tau, i + 1) for tau in unsettled if cbs[i, tau].value == cbs[i + 1, tau].value)
+            unsettled = [tau for tau in unsettled if tau not in settled]
 
     rows = []
-    for it, (tau, t) in enumerate(zip(tau_list, couplings)):
-        nbs = [box[0][it].value for box in boxes]
-        # the larger box of the last pair of consecutive boxes that agree
-        same = [i + 1 for i in range(len(boxes) - 1) if nbs[i] == nbs[i + 1]]
-        i = same[-1] if same else len(boxes) - 1
-        cbs, A, V, below = boxes[i]
-        cb, ndir = cbs[it], _direct_count(A, V, lam, t, below)
-        flags = ["unstabilized"] * (not same) + ["boundary"] * cb.boundary + ["mismatch"] * (cb.value != ndir)
+    for tau, t in zip(tau_list, couplings):
+        i = settled.get(tau, top)
+        V, X = boxes[i]
+        cb, ndir = cbs[i, tau], _direct_count(X.H, V, lam, t, X.below)
+        flags = ["unstabilized"] * (tau not in settled) + ["boundary"] * cb.boundary + ["mismatch"] * (cb.value != ndir)
         denom = tau**p * gamma.value
         ratio = cb.value / denom if denom > 0 else math.inf
         rows.append(CountRow(lam, tau, L_list[i], cb.value, ndir, gamma.value, ratio, tuple(flags)))

@@ -204,6 +204,23 @@ def test_pdo_rejects_an_empty_box_or_grid(args, capsys):
     assert captured.err.startswith("gapcount: error:")
 
 
+@pytest.mark.parametrize(
+    "flag", [["--M", "0"], ["--M", "64"], ["--f", "one"], ["--f", "nonsense"]], ids=["M0", "M64", "f-one", "f-nonsense"]
+)
+def test_pdo_commutator_rejects_the_flags_it_does_not_read(flag, capsys):
+    assert main(["pdo", "--mode", "commutator", "--p", "1", "--L", "4", *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gapcount: error:") and f"{flag[0]} does not apply" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["dp", "cwikel"])
+def test_pdo_parses_f_in_the_modes_that_read_it(mode, capsys):
+    assert main(["pdo", "--mode", mode, "--p", "1", "--L", "8", "--f", "nonsense"]) == 2
+    assert capsys.readouterr().err.startswith("gapcount: error:")
+    assert main(["pdo", "--mode", mode, "--p", "1", "--L", "8", "--f", "halftorus"]) == 0
+
+
 def test_pdo_commutator_vector_lag(capsys):
     code = main(["pdo", "--mode", "commutator", "--p", "1", "--dim", "2", "--L", "3", "--coeffs", '{"1,0": 1.0}'])
     assert code == 0

@@ -280,6 +280,118 @@ def test_asymptotic_table_counts_n_direct_once_per_tau(monkeypatch):
     assert all(r.N_bs == r.N_direct for r in table.rows)
 
 
+def test_asymptotic_table_skips_the_tails_of_settled_boxes(monkeypatch):
+    built, tails = [], []
+    build, tail = sc.bs_matrix, sc.BSMatrix.tail
+
+    def build_spy(H, V, lam):
+        X = build(H, V, lam)
+        built.append(X.H.shape[0])
+        return X
+
+    def tail_spy(self, *args):
+        tails.append(self.H.shape[0])
+        return tail(self, *args)
+
+    monkeypatch.setattr(sc, "bs_matrix", build_spy)
+    monkeypatch.setattr(sc.BSMatrix, "tail", tail_spy)
+    table = asymptotic_table(
+        square_lattice(1), theta_const(1.0), p=1.0, lam=-1.0, sign="-",
+        tau_list=(2.0, 4.0), L_list=(20, 40, 80), grid=32,
+    )
+    # the boxes L = 40 and 80 agree for both taus, so L = 20 gets no tail
+    assert [(r.L, r.N_bs, r.flags) for r in table.rows] == [(80, 1, ()), (80, 3, ())]
+    assert built == [41, 81, 161]
+    assert sorted(set(tails)) == [81, 161]
+
+
+_BOXES = (10, 20, 40, 80)
+
+
+def _fake_bs_counts(monkeypatch, nbs):
+    """Make counting_bs return nbs[tau][k] on the k-th box of _BOXES and
+    record the (box, tau) pairs it is asked for."""
+    calls = []
+    box = {2 * L + 1: k for k, L in enumerate(_BOXES)}
+
+    def fake(X, tau, sign):
+        calls.append((_BOXES[box[X.H.shape[0]]], tau))
+        return sc.Count(nbs[tau][box[X.H.shape[0]]], False)
+
+    monkeypatch.setattr(sc, "counting_bs", fake)
+    return calls
+
+
+def _reference_rows(graph, nbs, gamma):
+    """Rows by counting every box and taking the larger box of the last pair
+    of consecutive boxes that agree, or the largest box, unstabilized."""
+    rows = []
+    for tau, counts in nbs.items():
+        same = [k + 1 for k in range(len(_BOXES) - 1) if counts[k] == counts[k + 1]]
+        k = same[-1] if same else len(_BOXES) - 1
+        L = _BOXES[k]
+        H, v = assemble_truncated(graph, L), sample_potential(graph, theta_const(1.0), 1.0, L)
+        ndir = counting_direct(H, v, -1.0, tau, "-").value
+        flags = ("unstabilized",) * (not same) + ("mismatch",) * (counts[k] != ndir)
+        rows.append((tau, L, counts[k], ndir, flags, counts[k] / (tau * gamma)))
+    return rows
+
+
+def test_asymptotic_table_counts_small_boxes_only_for_unsettled_taus(monkeypatch):
+    graph = square_lattice(1)
+    nbs = {
+        1.0: [5, 5, 6, 6],  # the top pair agrees: row L = 80
+        2.0: [1, 3, 3, 4],  # L = 20 and 40 agree: row L = 40
+        4.0: [2, 2, 3, 4],  # only L = 10 and 20 agree: row L = 20
+        8.0: [1, 2, 3, 4],  # no pair agrees: row L = 80, unstabilized
+    }
+    calls = _fake_bs_counts(monkeypatch, nbs)
+    table = asymptotic_table(graph, theta_const(1.0), p=1.0, lam=-1.0, sign="-", tau_list=tuple(nbs), L_list=_BOXES)
+    rows = [(r.tau, r.L, r.N_bs, r.N_direct, r.flags, r.ratio) for r in table.rows]
+    assert rows == _reference_rows(graph, nbs, table.gamma.value)
+    # from the largest box down, widest threshold first, unsettled taus only
+    assert calls == [
+        (80, 8.0), (80, 4.0), (80, 2.0), (80, 1.0),
+        (40, 8.0), (40, 4.0), (40, 2.0), (40, 1.0),
+        (20, 8.0), (20, 4.0), (20, 2.0),
+        (10, 8.0), (10, 4.0),
+    ]
+
+
+def test_asymptotic_table_checks_a_box_whose_tails_it_skips(monkeypatch):
+    check = sc._check_resolvent_point
+
+    def reject_smallest(A, lam):
+        if A.shape[0] == 2 * _BOXES[0] + 1:
+            raise CountingError(f"lambda={lam} is within 1e-8 of the spectrum")
+        return check(A, lam)
+
+    monkeypatch.setattr(sc, "_check_resolvent_point", reject_smallest)
+    # the boxes L = 40 and 80 agree for tau = 2, so L = 10 needs no tail
+    with pytest.raises(CountingError, match="within 1e-8"):
+        asymptotic_table(
+            square_lattice(1), theta_const(1.0), p=1.0, lam=-1.0, sign="-",
+            tau_list=(2.0,), L_list=_BOXES, grid=32,
+        )
+
+
+@pytest.mark.parametrize(
+    "tau_list, L_list, match",
+    [((), (20, 40), "tau_list"), ((2.0,), (40.5, 60), "integers"), ((2.0,), (-5, 40), "integers")],
+    ids=["no-tau", "fractional-L", "negative-L"],
+)
+def test_asymptotic_table_rejects_inputs_before_the_bands(monkeypatch, tau_list, L_list, match):
+    def no_bands(*args):
+        raise AssertionError("bands computed for inputs the table rejects")
+
+    monkeypatch.setattr(sc, "band_structure", no_bands)
+    with pytest.raises(CountingError, match=match):
+        asymptotic_table(
+            square_lattice(1), theta_const(1.0), p=1.0, lam=-1.0, sign="-",
+            tau_list=tau_list, L_list=L_list, grid=32,
+        )
+
+
 @pytest.mark.parametrize(
     "graph, lam, below", [(square_lattice(1), -1.0, 0), (dimer_chain(), 3.0, 81)], ids=["square1", "dimer"]
 )
