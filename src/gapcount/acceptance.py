@@ -43,10 +43,10 @@ from .periodic_graph import (
     theta_const,
 )
 from .spectral_counts import (
-    _direct_count,
     asymptotic_table,
     bs_matrix,
     counting_bs,
+    counting_direct,
     edge_counting,
 )
 from .weak_lp import WeightedSequence, distribution, weak_quasinorm
@@ -139,7 +139,7 @@ def criterion_04_bs_identity() -> tuple[bool, str]:
             break
         else:
             continue
-        if cb.value != _direct_count(X.H, v, lam, t, X.below):
+        if cb.value != counting_direct(H, v, lam, tau, sign).value:
             mismatches += 1
         checked += 1
     return mismatches == 0, f"{checked} random models, {mismatches} mismatches"

@@ -186,55 +186,58 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
-    graph = _load_graph(args.graph)
-    theta = parse_theta(args.theta)
     table = asymptotic_table(
-        graph,
-        theta,
-        p=args.p,
-        lam=args.lam,
-        sign=_parse_sign(args.sign),
-        tau_list=args.tau,
-        L_list=args.L,
-        grid=args.grid,
+        _load_graph(args.graph), parse_theta(args.theta), p=args.p, lam=args.lam, sign=_parse_sign(args.sign),
+        tau_list=args.tau, L_list=args.L, grid=args.grid,
     )
-    rows = [(r.lam, r.tau, r.L, r.N_bs, r.N_direct, r.gamma, r.ratio, ";".join(r.flags)) for r in table.rows]
+    gamma = table.gamma.value
+    rows = [(args.lam, r.tau, r.L, r.N_bs, r.N_direct, gamma, r.ratio, ";".join(r.flags)) for r in table.rows]
     _write_csv("lambda,tau,L,N_bs,N_direct,gamma,ratio,flags", rows, args.out)
     return 0
 
 
+# The optional flags that each pdo mode reads, with their defaults; None is a
+# default that the mode computes from --L or --p.  A mode rejects the others.
+_PDO_FLAGS = {
+    "dp": {"f": "one", "g": "one", "M": None},
+    "cwikel": {"f": "one", "q": None, "M": None},
+    "commutator": {"coeffs": '{"1": 1.0}'},
+}
+
+
 def _cmd_pdo(args) -> int:
+    reads = _PDO_FLAGS[args.mode]
+    for flag in (flag for flags in _PDO_FLAGS.values() for flag in flags):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise UsageError(f"--{flag} does not apply to --mode {args.mode}")
+    opt = {flag: default if getattr(args, flag) is None else getattr(args, flag) for flag, default in reads.items()}
     if args.mode == "commutator":
         # the commutator's symbol comes from --coeffs alone, on the box itself
-        for flag in ("f", "M"):
-            if getattr(args, flag) is not None:
-                raise UsageError(f"--{flag} does not apply to --mode commutator")
         W = homogeneous_symbol(args.v, args.p, args.dim, args.L)
         # one integer per axis, comma-separated: "1" in d = 1, "1,0" in d = 2
         try:
-            coeffs = {tuple(map(int, t.split(","))): complex(c) for t, c in json.loads(args.coeffs).items()}
+            coeffs = {tuple(map(int, t.split(","))): complex(c) for t, c in json.loads(opt["coeffs"]).items()}
         except (ValueError, TypeError, AttributeError) as exc:
             raise UsageError(f"--coeffs must map lags like \"1,0\" to numbers: {exc}") from exc
         rep = commutator_decay(coeffs, W, args.p, args.L)
         rows = zip(range(1, len(rep.svalues) + 1), rep.svalues.values.tolist(), rep.products.tolist())
         _write_csv("m,s_m,m^{1/p}s_m", rows, args.out)
         return 0
-    f = parse_torus_function("one" if args.f is None else args.f)
-    M = 8 * args.L if args.M is None else args.M
+    f = parse_torus_function(opt["f"])
+    M = 8 * args.L if opt["M"] is None else opt["M"]
     if args.mode == "dp":
-        g = parse_torus_function(args.g)
+        g = parse_torus_function(opt["g"])
         est, formula = dp_vs_formula(f, args.v, g, args.p, args.L, M, d=args.dim)
         _write_csv("L,M,dp_sup,dp_inf,formula", [(args.L, M, est.sup_est, est.inf_est, formula)], args.out)
         return 0
-    if args.mode == "cwikel":
-        if args.q is None and args.p == 2.0:
-            raise UsageError("--p 2 needs an explicit --q > 2")
-        W = homogeneous_symbol(args.v, args.p, args.dim, args.L)
-        q = args.q if args.q is not None else (args.p if args.p > 2 else 2.0)
-        ratio = cwikel_ratio(f, W, args.p, q, args.L, M)
-        _write_csv("p,q,L,ratio", [(args.p, q, args.L, ratio)], args.out)
-        return 0
-    raise UsageError(f"unknown pdo mode {args.mode!r}")
+    # cwikel
+    if opt["q"] is None and args.p == 2.0:
+        raise UsageError("--p 2 needs an explicit --q > 2")
+    W = homogeneous_symbol(args.v, args.p, args.dim, args.L)
+    q = opt["q"] if opt["q"] is not None else (args.p if args.p > 2 else 2.0)
+    ratio = cwikel_ratio(f, W, args.p, q, args.L, M)
+    _write_csv("p,q,L,ratio", [(args.p, q, args.L, ratio)], args.out)
+    return 0
 
 
 def _cmd_weaklp(args) -> int:
@@ -254,8 +257,7 @@ def _cmd_weaklp(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    only = args.only
-    results = acceptance.run_all(only)
+    results = acceptance.run_all(args.only)
     text = acceptance.format_results(results) + "\n"
     _emit(text, args.out)
     if args.out:
@@ -336,14 +338,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, graph=False)
     p.add_argument("--mode", choices=("dp", "cwikel", "commutator"), required=True)
     p.add_argument("--f", help="torus function preset (one | halftorus | exp:<lags>), default one; dp and cwikel only")
-    p.add_argument("--g", default="one")
+    p.add_argument("--g", help="torus function preset, default one; dp only")
     p.add_argument("--v", type=float, default=1.0, help="constant angular factor of the lattice symbol")
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, default=None)
+    p.add_argument("--q", type=float, help="default p for p > 2, 2 for p < 2; cwikel only")
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--M", type=int, default=None, help="torus grid per axis, default 8 L; dp and cwikel only")
+    p.add_argument("--M", type=int, help="torus grid per axis, default 8 L; dp and cwikel only")
     p.add_argument("--dim", type=int, default=1, help="lattice dimension d of the symbol, in every mode")
-    p.add_argument("--coeffs", default='{"1": 1.0}', help='JSON lag->coefficient map, lags like "1" or "1,0"')
+    p.add_argument("--coeffs", help='JSON map of lags ("1" or "1,0") to coefficients, default {"1": 1.0}; commutator only')
     p.set_defaults(fn=_cmd_pdo)
 
     p = sub.add_parser("weaklp", help="weak-lp functionals of a sampled sequence")

@@ -32,9 +32,11 @@ ladder's span, and only an eigenvalue inside it makes the rungs bisect.
 
 The asymptotic table picks each tau's box by the stabilization of N_bs
 and counts N_direct on that box only; it and `gapcount count` flag
-`mismatch` on disagreement.  Every box is built and its lambda checked,
-but the BS tails run from the largest box down and, below the two largest,
-only for the taus that no agreeing pair above has settled.
+`mismatch` on disagreement.  Its one Gamma, kept on the table and not on
+the rows, rejects a lambda within 1e-12 of a band before any box is built.
+Every box is built and its lambda checked, but the BS tails run from the
+largest box down and, below the two largest, only for the taus that no
+agreeing pair above has settled.
 
 Every counting function takes H_L either as a FiniteHamiltonian or as a
 symmetric matrix, sparse or dense, and V as a float array of site values.
@@ -61,7 +63,7 @@ from scipy.linalg.blas import dgemm
 from scipy.sparse.linalg import splu
 
 from .errors import GapcountError
-from .floquet import Gap, band_structure, find_gaps
+from .floquet import Gap, band_structure
 from .gamma import GammaResult, gamma_coefficient
 from .periodic_graph import (
     FiniteHamiltonian,
@@ -115,12 +117,10 @@ Matrix = FiniteHamiltonian | sp.spmatrix | sp.sparray | np.ndarray
 
 @dataclass(frozen=True)
 class CountRow:
-    lam: float
     tau: float
     L: int
     N_bs: int
     N_direct: int
-    gamma: float
     ratio: float
     flags: tuple[str, ...] = ()
 
@@ -621,8 +621,8 @@ def asymptotic_table(
         raise CountingError("tau_list must not be empty")
     couplings = [_coupling(tau, sign) for tau in tau_list]
     L_list = sorted(L_list)
-    if not L_list or any(b <= a for a, b in zip(L_list, L_list[1:])):
-        raise CountingError("L_list must be strictly increasing")
+    if not L_list or len(set(L_list)) < len(L_list):
+        raise CountingError(f"L_list must hold at least one box radius and no repeats, got {L_list}")
     if any(not isinstance(L, (int, np.integer)) or L < 0 for L in L_list):
         raise CountingError(f"box radii must be integers >= 0, got {L_list}")
     Lmax = L_list[-1]
@@ -632,11 +632,8 @@ def asymptotic_table(
             raise CountingError(
                 f"largest L={Lmax} below the support heuristic {need:.1f} for tau={tau}"
             )
-    bands = band_structure(graph, grid)
-    gaps = find_gaps(bands)
-    if not any(g.lower - 1e-12 <= lam <= g.upper + 1e-12 for g in gaps):
-        raise CountingError(f"lambda={lam} is not inside a detected gap")
-    gamma = gamma_coefficient(bands, lam, p, sign, theta)
+    # rejects a lambda within 1e-12 of a band, before any box is built
+    gamma = gamma_coefficient(band_structure(graph, grid), lam, p, sign, theta)
 
     # Per box: V and its BSMatrix, which holds the checked H_L, the count below
     # lambda and the factor of H_L - lambda.
@@ -669,5 +666,5 @@ def asymptotic_table(
         flags = ["unstabilized"] * (tau not in settled) + ["boundary"] * cb.boundary + ["mismatch"] * (cb.value != ndir)
         denom = tau**p * gamma.value
         ratio = cb.value / denom if denom > 0 else math.inf
-        rows.append(CountRow(lam, tau, L_list[i], cb.value, ndir, gamma.value, ratio, tuple(flags)))
+        rows.append(CountRow(tau, L_list[i], cb.value, ndir, ratio, tuple(flags)))
     return CountingTable(tuple(rows), gamma)

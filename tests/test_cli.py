@@ -9,7 +9,7 @@ import gapcount.floquet
 import gapcount.spectral_counts
 from gapcount.cli import main
 from gapcount.floquet import band_values, torus_grid
-from gapcount.pdo_lab import commutator_decay, dp_vs_formula, homogeneous_symbol, torus_one
+from gapcount.pdo_lab import commutator_decay, dp_vs_formula, homogeneous_symbol, torus_exp, torus_one
 from gapcount.periodic_graph import dimer_chain, square_lattice
 
 CHAIN = {
@@ -212,6 +212,39 @@ def test_pdo_commutator_rejects_the_flags_it_does_not_read(flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("gapcount: error:") and f"{flag[0]} does not apply" in captured.err
+
+
+@pytest.mark.parametrize(
+    "mode, flag",
+    [
+        ("dp", ["--q", "5"]),
+        ("dp", ["--coeffs", '{"2": 3}']),
+        ("cwikel", ["--g", "nonsense"]),
+        ("cwikel", ["--coeffs", '{"2": 3}']),
+        ("commutator", ["--f", "one"]),
+        ("commutator", ["--g", "one"]),
+        ("commutator", ["--q", "3"]),
+        ("commutator", ["--M", "8"]),
+    ],
+    ids=["dp-q", "dp-coeffs", "cwikel-g", "cwikel-coeffs", "commutator-f", "commutator-g", "commutator-q", "commutator-M"],
+)
+def test_pdo_rejects_every_flag_its_mode_does_not_read(mode, flag, capsys):
+    assert main(["pdo", "--mode", mode, "--p", "1", "--L", "8", *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gapcount: error: {flag[0]} does not apply to --mode {mode}\n"
+
+
+def test_pdo_exp_preset_matches_the_library(capsys):
+    assert main(["pdo", "--mode", "dp", "--p", "1", "--L", "16", "--f", "exp:1"]) == 0
+    est, formula = dp_vs_formula(torus_exp(1), 1.0, torus_one(), 1.0, 16, 128)
+    assert capsys.readouterr().out == (
+        f"L,M,dp_sup,dp_inf,formula\n16,128,{est.sup_est:.17g},{est.inf_est:.17g},{formula:.17g}\n"
+    )
+    assert main(["pdo", "--mode", "dp", "--p", "1", "--L", "16", "--f", "exp:x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gapcount: error:") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("mode", ["dp", "cwikel"])

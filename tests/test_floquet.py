@@ -153,6 +153,18 @@ def test_degenerate_synthetic_band_non_regular():
     assert rep.verdict == "non-regular"
 
 
+def test_pattern_search_refines_an_extremizer_off_the_coarse_grid():
+    # the maximum at (0.3, -0.2) lies on no point of the 24-point grid
+    def band(K):
+        return -((2.0 - 2.0 * np.cos(K[:, 0] - 0.3)) + (2.0 - 2.0 * np.cos(K[:, 1] + 0.2)))
+
+    rep = check_edge_regularity(band, GapEdge(0.0, "+", 0), 2)
+    assert rep.verdict == "regular"
+    assert len(rep.extremizers) == 1
+    np.testing.assert_allclose(rep.extremizers[0], [0.3, -0.2], atol=1e-6)
+    np.testing.assert_allclose(rep.hessians[0], -2.0 * np.eye(2), atol=1e-6)
+
+
 def test_flat_band_stops_at_the_extremizer_cap():
     rep = check_edge_regularity(lambda K: np.zeros(K.shape[0]), GapEdge(0.0, "+", 0), 2)
     assert rep.verdict == "non-regular"

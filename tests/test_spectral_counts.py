@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import gapcount.periodic_graph as pg
 import gapcount.spectral_counts as sc
 from gapcount.floquet import Gap, band_structure, find_gaps
+from gapcount.gamma import GammaError
 from gapcount.periodic_graph import (
     assemble_truncated,
     dimer_chain,
@@ -392,6 +393,19 @@ def test_asymptotic_table_rejects_inputs_before_the_bands(monkeypatch, tau_list,
         )
 
 
+@pytest.mark.parametrize("L_list", [(20, 20), ()], ids=["repeated", "empty"])
+def test_asymptotic_table_rejects_repeated_or_missing_radii(monkeypatch, L_list):
+    def no_bands(*args):
+        raise AssertionError("bands computed for inputs the table rejects")
+
+    monkeypatch.setattr(sc, "band_structure", no_bands)
+    with pytest.raises(CountingError, match="at least one box radius and no repeats"):
+        asymptotic_table(
+            square_lattice(1), theta_const(1.0), p=1.0, lam=-1.0, sign="-",
+            tau_list=(2.0,), L_list=L_list, grid=32,
+        )
+
+
 @pytest.mark.parametrize(
     "graph, lam, below", [(square_lattice(1), -1.0, 0), (dimer_chain(), 3.0, 81)], ids=["square1", "dimer"]
 )
@@ -416,8 +430,10 @@ def test_asymptotic_table_rejects_small_box():
         )
 
 
-def test_asymptotic_table_rejects_lambda_in_band():
-    with pytest.raises(CountingError, match="gap"):
+def test_asymptotic_table_rejects_lambda_in_band(monkeypatch):
+    assembled = []
+    monkeypatch.setattr(sc, "assemble_truncated", lambda *args: assembled.append(args))
+    with pytest.raises(GammaError, match="inside band"):
         asymptotic_table(
             square_lattice(1),
             theta_const(1.0),
@@ -428,6 +444,7 @@ def test_asymptotic_table_rejects_lambda_in_band():
             L_list=(10, 20),
             grid=32,
         )
+    assert assembled == []
 
 
 def dense_count(A, x: float) -> int:
