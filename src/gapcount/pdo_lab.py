@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import GapcountError
 from .floquet import torus_grid
@@ -109,6 +110,8 @@ def homogeneous_symbol(
         ang = np.asarray(v(pts / r[:, None]), dtype=complex)
     else:
         ang = np.full(pts.shape[0], complex(v))
+    if not np.isfinite(ang).all():
+        raise PdoError("the angular factor v must be finite")
     vals = ang * r ** (-d / p)
     keep = np.abs(vals) > 0.0
     return LatticeSymbol(pts[keep], vals[keep], L)
@@ -121,6 +124,10 @@ def tabulated_symbol(points: np.ndarray, values: np.ndarray, L: int) -> LatticeS
     values = np.asarray(values, dtype=complex)
     if points.shape[0] != values.shape[0]:
         raise PdoError("points/values length mismatch")
+    if points.shape[0] == 0:
+        raise PdoError("a tabulated symbol needs at least one support point")
+    if not np.isfinite(values).all():
+        raise PdoError("symbol values must be finite")
     if np.max(np.abs(points)) > L:
         raise PdoError("symbol support exceeds the truncation radius")
     keep = np.abs(values) > 0.0
@@ -144,6 +151,11 @@ class SingularValueReport:
 def _nonzero(sv: np.ndarray, tol: float) -> np.ndarray:
     """Descending singular values above tol relative to the largest."""
     return sv[sv > tol * max(sv[0], 1e-300)] if sv.size else sv
+
+
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """a's real part when every imaginary part is exactly 0, else a itself."""
+    return a if a.imag.any() else a.real
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +193,28 @@ def pdo_singular_values(triple: SymbolTriple) -> SingularValueReport:
     Computed from the N x N Gram pair: (A*A)_{nm} = c^f_{n-m},
     (BB*)_{nm} = W(n) c^g_{n-m} conj(W(m)). With BB* = U w U*, the squared
     singular values are the eigenvalues of R* (A*A) R for R = U w^{1/2}.
+    When |g|^2 has no coefficient at a nonzero lag (g = 1), BB* is diagonal
+    and R is diag(w^{1/2}) with w in ascending order, as eigh would give it:
+    the order decides how the graded Gram's small eigenvalues round. A matrix
+    whose imaginary parts are all exactly 0 goes to the real solver.
     """
     W = triple.W
     max_lag = 2 * W.L
     cf = fourier_modsq_coeffs(triple.f, triple.M, max_lag, W.dim)
     cg = fourier_modsq_coeffs(triple.g, triple.M, max_lag, W.dim)
-    AtA = _coeff_matrix(cf, W.points, max_lag)
-    BBt = W.values[:, None] * _coeff_matrix(cg, W.points, max_lag) * np.conj(W.values)[None, :]
-    w, U = np.linalg.eigh(BBt)
-    R = U * np.sqrt(np.clip(w, 0.0, None))
-    ev = np.clip(np.linalg.eigvalsh(R.conj().T @ AtA @ R), 0.0, None)
+    cg0 = cg[(max_lag,) * W.dim]
+    AtA = _real_if_exact(_coeff_matrix(cf, W.points, max_lag))
+    if np.count_nonzero(cg) == np.count_nonzero(cg0):
+        w = (W.values * cg0 * np.conj(W.values)).real
+        order = np.argsort(w, kind="stable")
+        r = np.sqrt(w[order])
+        X = r[:, None] * AtA[np.ix_(order, order)] * r[None, :]
+    else:
+        BBt = W.values[:, None] * _coeff_matrix(cg, W.points, max_lag) * np.conj(W.values)[None, :]
+        w, U = np.linalg.eigh(BBt)
+        R = U * np.sqrt(np.clip(w, 0.0, None))
+        X = R.conj().T @ AtA @ R
+    ev = np.clip(np.linalg.eigvalsh(_real_if_exact(X)), 0.0, None)
     return SingularValueReport(WeightedSequence(_nonzero(np.sqrt(ev)[::-1], _GRAM_SV_TOL)))
 
 
@@ -199,7 +223,7 @@ def fphiw_singular_values(f: TorusFunction, W: LatticeSymbol, M: int) -> Weighte
     max_lag = 2 * W.L
     cf = fourier_modsq_coeffs(f, M, max_lag, W.dim)
     G = np.conj(W.values)[:, None] * _coeff_matrix(cf, W.points, max_lag) * W.values[None, :]
-    ev = np.clip(np.linalg.eigvalsh(G), 0.0, None)
+    ev = np.clip(np.linalg.eigvalsh(_real_if_exact(G)), 0.0, None)
     return WeightedSequence(_nonzero(np.sqrt(ev)[::-1], _GRAM_SV_TOL))
 
 
@@ -283,6 +307,37 @@ class CommutatorReport:
     products: np.ndarray  # m^{1/p} s_m
 
 
+def _blockwise_svals(K: sp.csr_matrix) -> np.ndarray:
+    """Singular values of a sparse K, in descending order, block by block.
+
+    Rows and columns are separate vertices joined by each nonzero entry, so
+    each connected component is a block of K up to a permutation; a 1 x 1
+    block's singular value is |K_ij| and a larger block takes a dense SVD.
+    """
+    # imported here, not at the top: csgraph adds about 2 MB to the peak RSS
+    # of every process that imports gapcount, counting runs included
+    from scipy.sparse.csgraph import connected_components
+
+    K.eliminate_zeros()
+    K = K.tocoo()
+    m = K.shape[0]
+    i, j, x = K.row, K.col, K.data
+    pattern = sp.coo_matrix((np.ones(x.size), (i, m + j)), shape=(m + K.shape[1],) * 2)
+    ncomp, label = connected_components(pattern, directed=False)
+    comp = label[i]
+    nrows, ncols = np.bincount(label[:m], minlength=ncomp), np.bincount(label[m:], minlength=ncomp)
+    one = ((nrows == 1) & (ncols == 1))[comp]
+    parts = [np.abs(x[one])]
+    for c in np.unique(comp[~one]):
+        e = comp == c
+        rows, r = np.unique(i[e], return_inverse=True)
+        cols, s = np.unique(j[e], return_inverse=True)
+        block = np.zeros((rows.size, cols.size), dtype=x.dtype)
+        block[r, s] = x[e]
+        parts.append(np.linalg.svd(_real_if_exact(block), compute_uv=False))
+    return np.sort(np.concatenate(parts))[::-1]
+
+
 def commutator_decay(
     f_coeffs: dict[tuple[int, ...] | int, complex],
     W: LatticeSymbol,
@@ -293,7 +348,10 @@ def commutator_decay(
 
     f must be a trigonometric polynomial given by its lag coefficients
     {t: c} with f(k) = sum c e^{i t.k}; the commutator kernel is
-    c_{t} (W(m) - W(n)) supported on n - m = -t.
+    c_{t} (W(m) - W(n)) supported on n - m = -t. The kernel is kept sparse
+    and its SVD taken block by block (`_blockwise_svals`): one lag gives
+    only 1 x 1 blocks, while several lags in d >= 2 usually give one block
+    as large as the box.
     """
     if W.L != L:
         raise PdoError("symbol truncation radius does not match L")
@@ -301,14 +359,16 @@ def commutator_decay(
     n = (2 * L + 1) ** d
     wfull = np.zeros(n, dtype=complex)
     wfull[box_index(W.points, L)] = W.values
-    Kmat = np.zeros((n, n), dtype=complex)
+    K = sp.csr_matrix((n, n), dtype=complex)
     for t, c in f_coeffs.items():
         tv = np.atleast_1d(np.asarray(t, dtype=int))
         if tv.shape != (d,):
             raise PdoError("lag vector has wrong dimension")
+        if not np.isfinite(c):
+            raise PdoError(f"the coefficient {c} of lag {t} must be finite")
         # pairs with n_i - n_j = -t, i.e. n_j = n_i + t
         i, j = box_shift(d, L, tv)
-        Kmat[i, j] += c * (wfull[j] - wfull[i])
-    seq = WeightedSequence(_nonzero(np.linalg.svd(Kmat, compute_uv=False), _SV_TOL))
+        K = K + sp.csr_matrix((c * (wfull[j] - wfull[i]), (i, j)), shape=(n, n))
+    seq = WeightedSequence(_nonzero(_blockwise_svals(K), _SV_TOL))
     m = np.arange(1, len(seq) + 1, dtype=float)
     return CommutatorReport(seq, seq.values * m ** (1.0 / p))

@@ -332,6 +332,10 @@ NON_FINITE_CASES = {
     "gamma-p-nan": _GAMMA + ["--graph", "square:1", "--p", "nan"],
     "edge-kappa-nan": ["edge-conditions", "--graph", "square:1", "--kappa", "nan"],
     "pdo-cwikel-p-nan": ["pdo", "--mode", "cwikel", "--p", "nan", "--q", "3", "--L", "16"],
+    "pdo-cwikel-v-inf": ["pdo", "--mode", "cwikel", "--p", "1", "--L", "16", "--v", "inf"],
+    "pdo-dp-v-nan": ["pdo", "--mode", "dp", "--p", "1", "--L", "16", "--v", "nan"],
+    "pdo-coeffs-inf": ["pdo", "--mode", "commutator", "--p", "1", "--L", "4", "--coeffs", '{"1": Infinity}'],
+    "pdo-coeffs-nan": ["pdo", "--mode", "commutator", "--p", "1", "--L", "4", "--coeffs", '{"1": NaN}'],
     "weaklp-p-nan": ["weaklp", "--values", "good.txt", "--p", "nan"],
     "weaklp-nan-value": ["weaklp", "--values", "nan.txt", "--p", "1"],
 }

@@ -98,16 +98,28 @@ def test_adjoint_symmetry():
     np.testing.assert_allclose(a, b, atol=1e-10)
 
 
-def test_gram_matches_direct_construction():
+@pytest.mark.parametrize(
+    "real_w, fg",
+    [(False, "trig"), (True, "one"), (True, "symmetric-trig"), (False, "trig-g-one")],
+    ids=["complex", "real-w-g-one", "real-w-symmetric-trig", "complex-w-g-one"],
+)
+def test_gram_matches_direct_construction(real_w, fg):
+    # g = 1 makes BB* diagonal, and f = g = 1 with a real W keeps every Gram
+    # real; trigonometric f and g take the complex eigh route
     rng = np.random.default_rng(2)
     for _ in range(10):
         L, M = 8, 64
         npts = int(rng.integers(1, 8))
         pts = rng.choice(np.arange(-L, L + 1), size=npts, replace=False)[:, None]
-        vals = rng.standard_normal(npts) + 1j * rng.standard_normal(npts)
+        vals = rng.standard_normal(npts) + (0.0 if real_w else 1j * rng.standard_normal(npts))
         W = tabulated_symbol(pts, vals, L)
-        f = torus_trig({-1: rng.standard_normal(), 0: rng.standard_normal()})
-        g = torus_trig({0: rng.standard_normal(), 2: rng.standard_normal()})
+        a, b, c, e = rng.standard_normal(4)
+        f, g = {
+            "trig": (torus_trig({-1: a, 0: b}), torus_trig({0: c, 2: e})),
+            "one": (torus_one(), torus_one()),
+            "symmetric-trig": (torus_trig({-1: a, 0: b, 1: a}), torus_trig({-2: c, 0: e, 2: c})),
+            "trig-g-one": (torus_trig({-1: a, 0: b}), torus_one()),
+        }[fg]
         gram = pdo_singular_values(SymbolTriple(f, g, W, 1.0, M)).svalues.values
         direct = direct_section_svalues(f, g, W, M)[: gram.size]
         np.testing.assert_allclose(gram, direct, atol=1e-8 * max(1.0, direct.max()))
@@ -164,6 +176,24 @@ def test_non_finite_p_and_q_rejected(bad):
         cwikel_ratio(torus_one(), W, 2.0, bad, 16, 128)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_symbol_data_rejected(bad):
+    with pytest.raises(PdoError, match="finite"):
+        homogeneous_symbol(bad, 1.0, 1, 8)
+    with pytest.raises(PdoError, match="finite"):
+        homogeneous_symbol(lambda u: np.where(u[:, 0] > 0, bad, 1.0), 1.0, 1, 8)
+    with pytest.raises(PdoError, match="finite"):
+        tabulated_symbol(np.array([0, 1]), np.array([1.0, bad]), 4)
+    W = homogeneous_symbol(1.0, 1.0, 1, 8)
+    with pytest.raises(PdoError, match="finite"):
+        commutator_decay({1: 1.0, 2: bad}, W, 1.0, 8)
+
+
+def test_tabulated_symbol_needs_a_point():
+    with pytest.raises(PdoError, match="at least one"):
+        tabulated_symbol(np.array([], dtype=int), np.array([]), 4)
+
+
 def test_cwikel_scale_invariance():
     L, M = 32, 256
     W = homogeneous_symbol(1.0, 1.0, 1, L)
@@ -216,18 +246,34 @@ def test_commutator_finite_support_finite_rank():
     assert 0 < len(rep.svalues) <= 4
 
 
-def test_commutator_decay_2d_matches_explicit_kernel():
+@pytest.mark.parametrize(
+    "d, coeffs, v",
+    [
+        (2, {(1, 0): 1.0, (0, -1): 0.5, (1, 1): 1j}, lambda u: 1.0 + 0.5 * u[:, 0] + 0.3j * u[:, 1]),
+        (1, {1: 1.0}, lambda u: 1.0 + 0.5 * u[:, 0]),
+        (1, {1: 1.0, -1: 0.5}, lambda u: 1.0 + 0.5 * u[:, 0]),
+        (1, {1: 1.0, 2: 0.5j}, lambda u: 1.0 + 0.5 * u[:, 0]),
+        (2, {(1, 0): 1.0}, 1.0),
+        (2, {(1, 0): 1.0, (0, -1): 0.5, (1, 1): 1j}, 1.0),
+    ],
+    ids=["d2-three-lags", "d1-one-lag", "d1-two-long-blocks", "d1-one-block", "d2-one-lag-real-w", "d2-thin-blocks"],
+)
+def test_commutator_decay_matches_explicit_kernel(d, coeffs, v):
+    # one lag gives only 1 x 1 blocks, lags 1 and -1 split the kernel into an
+    # even and an odd block, and lags 1 and 2 join it into one; W(-n) != W(n)
+    # in d = 1, so no entry of those blocks vanishes; a real W in d = 2 makes
+    # entries vanish and leaves 1 x 2 and 2 x 1 blocks beside a large one
     L = 3
-    coeffs = {(1, 0): 1.0, (0, -1): 0.5, (1, 1): 1j}
-    W = homogeneous_symbol(lambda u: 1.0 + 0.5 * u[:, 0] + 0.3j * u[:, 1], 1.0, 2, L)
+    W = homogeneous_symbol(v, 1.0, d, L)
     w = {tuple(int(c) for c in n): x for n, x in zip(W.points, W.values)}
-    cells = list(itertools.product(range(-L, L + 1), repeat=2))
+    lags = {tuple(np.atleast_1d(t).tolist()): c for t, c in coeffs.items()}
+    cells = list(itertools.product(range(-L, L + 1), repeat=d))
     K = np.zeros((len(cells), len(cells)), dtype=complex)
     for i, m in enumerate(cells):
         for j, n in enumerate(cells):
-            t = (n[0] - m[0], n[1] - m[1])
-            if t in coeffs:
-                K[i, j] += coeffs[t] * (w.get(n, 0.0) - w.get(m, 0.0))
+            t = tuple(b - a for a, b in zip(m, n))
+            if t in lags:
+                K[i, j] += lags[t] * (w.get(n, 0.0) - w.get(m, 0.0))
     sv = np.linalg.svd(K, compute_uv=False)
     sv = sv[sv > 1e-13 * sv[0]]
     rep = commutator_decay(coeffs, W, 1.0, L)
