@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import GapcountError
 from .floquet import (
     GapEdge,
     band_structure,
@@ -355,6 +356,10 @@ _CRITERIA: tuple[tuple[int, str, Callable[[], tuple[bool, str]]], ...] = (
 
 def run_all(only: Sequence[int] | None = None) -> list[CriterionResult]:
     wanted = set(only) if only else None
+    unknown = sorted(set(only or ()) - {number for number, _, _ in _CRITERIA})
+    if unknown:
+        numbers = ", ".join(map(str, unknown))
+        raise GapcountError(f"unknown criterion number(s) {numbers}; criteria are 1-{len(_CRITERIA)}")
     results = []
     for number, name, fn in _CRITERIA:
         if wanted is not None and number not in wanted:

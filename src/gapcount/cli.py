@@ -86,13 +86,13 @@ def _write_json(doc, out: str | None) -> None:
     _emit(json.dumps(doc, indent=2) + "\n", out)
 
 
-def _gap_json(g) -> dict:
+def _gap_json(g, grid: int) -> dict:
     return {
         "lower": None if not math.isfinite(g.lower) else g.lower,
         "upper": None if not math.isfinite(g.upper) else g.upper,
         "kind": g.kind,
         "band_index": g.band_index,
-        "grid_step": g.grid_step,
+        "grid_step": 2.0 * math.pi / grid,
     }
 
 
@@ -121,7 +121,7 @@ def _cmd_bands(args) -> int:
 def _cmd_gaps(args) -> int:
     graph = _load_graph(args.graph)
     gaps = find_gaps(band_structure(graph, args.grid))
-    _write_json([_gap_json(g) for g in gaps], args.out)
+    _write_json([_gap_json(g, args.grid) for g in gaps], args.out)
     return 0
 
 
@@ -278,6 +278,12 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--graph", required=True, help="graph JSON path or builtin (square:<d>[:Q], dimer)")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
 
+    def add_coupling(p):
+        p.add_argument("--lambda", dest="lam", type=float, required=True)
+        p.add_argument("--p", type=float, required=True)
+        p.add_argument("--sign", required=True, help="plus | minus")
+        p.add_argument("--theta", default="const:1")
+
     p = sub.add_parser("bands", help="sample band functions on a torus grid")
     add_common(p)
     p.add_argument("--grid", type=int, default=64)
@@ -298,10 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="asymptotic coefficient at a point in a gap")
     add_common(p)
     p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--sign", required=True, help="plus | minus")
-    p.add_argument("--theta", default="const:1")
+    add_coupling(p)
     p.set_defaults(fn=_cmd_gamma)
 
     p = sub.add_parser("edge-conditions", help="integrability ladder at a gap edge")
@@ -315,20 +318,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="counting function at one (lambda, tau)")
     add_common(p)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    add_coupling(p)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--theta", default="const:1")
-    p.add_argument("--sign", required=True)
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("asymptotics", help="counting table against tau^p * Gamma")
     add_common(p)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--sign", required=True)
-    p.add_argument("--theta", default="const:1")
+    add_coupling(p)
     p.add_argument("--tau", type=float, nargs="+", required=True)
     p.add_argument("--L", type=int, nargs="+", required=True)
     p.add_argument("--grid", type=int, default=64)

@@ -48,10 +48,6 @@ class BandStructure:
     M: int
     band_extrema: np.ndarray  # (nu, 2) min/max over the M^d torus grid
 
-    @property
-    def grid_step(self) -> float:
-        return 2.0 * math.pi / self.M
-
 
 @dataclass(frozen=True)
 class Gap:
@@ -59,7 +55,6 @@ class Gap:
     upper: float  # Lambda_- or +inf
     kind: str  # "interior" | "left-semi-infinite" | "right-semi-infinite"
     band_index: int | None  # N for interior gaps (1-based band above the gap)
-    grid_step: float
 
     @property
     def width(self) -> float:
@@ -208,17 +203,16 @@ def band_structure(graph: PeriodicGraph, M: int) -> BandStructure:
 def find_gaps(bands: BandStructure) -> list[Gap]:
     """Semi-infinite gaps plus grid-certified interior gaps."""
     ext = bands.band_extrema
-    step = bands.grid_step
     lam_min = float(ext[:, 0].min())
     lam_max = float(ext[:, 1].max())
-    gaps = [Gap(-math.inf, lam_min, "left-semi-infinite", None, step)]
+    gaps = [Gap(-math.inf, lam_min, "left-semi-infinite", None)]
     running_max = float(ext[0, 1])
     for s in range(1, bands.graph.nu):
         lo = float(ext[s, 0])
         if running_max < lo:
-            gaps.append(Gap(running_max, lo, "interior", s + 1, step))
+            gaps.append(Gap(running_max, lo, "interior", s + 1))
         running_max = max(running_max, float(ext[s, 1]))
-    gaps.append(Gap(lam_max, math.inf, "right-semi-infinite", None, step))
+    gaps.append(Gap(lam_max, math.inf, "right-semi-infinite", None))
     return gaps
 
 
@@ -270,24 +264,23 @@ def _pattern_search(f: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, h0: f
     return x
 
 
-def _fd_hessian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
-    d = x.size
-    H = np.zeros((d, d))
-    f0 = float(f(x[None, :])[0])
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h
-        fp = float(f((x + ei)[None, :])[0])
-        fm = float(f((x - ei)[None, :])[0])
-        H[i, i] = (fp + fm - 2.0 * f0) / h**2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h
-            fpp = float(f((x + ei + ej)[None, :])[0])
-            fpm = float(f((x + ei - ej)[None, :])[0])
-            fmp = float(f((x - ei + ej)[None, :])[0])
-            fmm = float(f((x - ei - ej)[None, :])[0])
-            H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h**2)
+def _fd_hessians(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, steps: Sequence[float]) -> np.ndarray:
+    """Central-difference Hessians of f at x, one per step, from a single call of f.
+
+    The unit stencil is the centre, +-e_i, then +-e_i +- e_j for each i < j;
+    each step scales it about x.
+    """
+    d, n = x.size, len(steps)
+    e = np.eye(d)
+    i, j = np.triu_indices(d, 1)
+    unit = np.concatenate([np.zeros((1, d)), e, -e] + [s * e[i] + t * e[j] for s in (1, -1) for t in (1, -1)])
+    vals = np.asarray(f(np.concatenate([x + h * unit for h in steps])), dtype=float).reshape(n, -1)
+    h2 = np.array([[h**2] for h in steps])
+    f0, fp, fm = vals[:, :1], vals[:, 1 : d + 1], vals[:, d + 1 : 2 * d + 1]
+    fpp, fpm, fmp, fmm = np.split(vals[:, 2 * d + 1 :], 4, axis=1)
+    H = np.zeros((n, d, d))
+    H[:, range(d), range(d)] = (fp + fm - 2.0 * f0) / h2
+    H[:, i, j] = H[:, j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h2)
     return H
 
 
@@ -334,20 +327,15 @@ def check_edge_regularity(
     hessians: list[np.ndarray] = []
     verdict = "regular"
     for x in refined:
-        d1 = _fd_hessian(band, x, _FD_STEP)
-        d2 = _fd_hessian(band, x, _FD_STEP / 2.0)
-        d3 = _fd_hessian(band, x, _FD_STEP / 4.0)
+        d1, d2, d3 = _fd_hessians(band, x, (_FD_STEP, _FD_STEP / 2.0, _FD_STEP / 4.0))
         r1 = (4.0 * d2 - d1) / 3.0
         r2 = (4.0 * d3 - d2) / 3.0
         scale = max(1.0, float(np.abs(r2).max()))
         if np.abs(r1 - r2).max() > 1e-3 * scale:
             verdict = "inconclusive"
         hessians.append(r2)
-        eigs = np.linalg.eigvalsh(r2)
-        if edge.sign == "+":
-            definite = eigs.max() < 0.0 and abs(eigs.max()) >= _HESSIAN_TOL * abs(eigs.min())
-        else:
-            definite = eigs.min() > 0.0 and abs(eigs.min()) >= _HESSIAN_TOL * abs(eigs.max())
+        curv = -sign * np.linalg.eigvalsh(r2)  # positive along every axis of a strict extremum
+        definite = curv.min() > 0.0 and curv.min() >= _HESSIAN_TOL * abs(curv).max()
         if not definite and verdict != "inconclusive":
             verdict = "non-regular"
     if not refined:

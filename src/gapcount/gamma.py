@@ -139,8 +139,8 @@ def _gamma_on_grids(
     graph: PeriodicGraph, lam: float, p: float, sign: str, theta: ThetaProfile, grids: tuple[int, int]
 ) -> GammaResult:
     """Gamma from the trapezoid sums on two grids: the finer value, their difference as error."""
+    sphere = sphere_integral(theta, p, graph.dim)  # first: it rejects d > 3 before the sweeps
     coarse, fine = (_band_power_sums(graph, lam, p, sign, M) for M in grids)
-    sphere = sphere_integral(theta, p, graph.dim)
     norm = graph.dim * (2.0 * math.pi) ** graph.dim
     value = fine.sum() * sphere / norm
     error = abs(fine.sum() - coarse.sum()) * sphere / norm

@@ -285,6 +285,11 @@ def dp_vs_formula(
     (d (2 pi)^d)^{-1} int_{T^d} |f(k) g(k)|^p dk int_{S^{d-1}} |v|^p dS.
     """
     W = homogeneous_symbol(v, p, d, L)
+    if callable(v):
+        vfn = lambda u: np.abs(np.asarray(v(u)))
+    else:
+        vfn = lambda u, _c=abs(v): np.full(u.shape[0], _c)
+    sphere = sphere_integral(vfn, p, d)  # before the Gram: it rejects d > 3
     report = pdo_singular_values(SymbolTriple(f, g, W, p, M))
     if len(report.svalues) == 0:
         return DpWindowEstimate(0.0, 0.0, 0), 0.0
@@ -292,11 +297,6 @@ def dp_vs_formula(
     K = torus_grid(d, M)
     fg = np.abs(np.asarray(f(K)) * np.asarray(g(K))) ** p
     torus = float(np.sum(fg) * (2.0 * math.pi / M) ** d)
-    if callable(v):
-        vfn = lambda u: np.abs(np.asarray(v(u)))
-    else:
-        vfn = lambda u, _c=abs(v): np.full(u.shape[0], _c)
-    sphere = sphere_integral(vfn, p, d)
     formula = torus * sphere / (d * (2.0 * math.pi) ** d)
     return est, formula
 

@@ -17,6 +17,7 @@ sites in that order.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from collections import defaultdict
 from pathlib import Path
@@ -106,9 +107,13 @@ def theta_table(path: str | Path) -> ThetaProfile:
     Lookup is nearest-direction piecewise constant.
     """
     try:
-        rows = np.loadtxt(path, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's "no data" warning; rejected below
+            rows = np.loadtxt(path, ndmin=2)
     except ValueError as exc:
         raise GraphError(f"malformed theta table {path}: {exc}") from exc
+    if rows.shape[0] == 0:
+        raise GraphError(f"theta table {path} has no rows")
     dirs = rows[:, :-1]
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(norms == 0):

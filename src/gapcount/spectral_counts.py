@@ -208,6 +208,8 @@ def _factor(A: sp.csc_matrix, x: float):
 
 def inertia(A: Matrix, x: float) -> Inertia:
     """#eigenvalues of the symmetric matrix A strictly below x, and the route."""
+    if not math.isfinite(x):
+        raise CountingError(f"shift x={x} must be finite")
     return _inertia(_symmetric_matrix(A), x)
 
 

@@ -7,6 +7,7 @@ import pytest
 import gapcount.cli
 import gapcount.floquet
 import gapcount.spectral_counts
+from gapcount import acceptance
 from gapcount.cli import main
 from gapcount.floquet import band_values, torus_grid
 from gapcount.pdo_lab import commutator_decay, dp_vs_formula, homogeneous_symbol, torus_exp, torus_one
@@ -280,6 +281,18 @@ def test_verify_subset(capsys):
     assert "2/2 criteria passed" in out
 
 
+@pytest.mark.parametrize("only", [["13"], ["0", "-5"], ["1", "13"]], ids=["13", "0-minus5", "1-13"])
+def test_verify_rejects_unknown_criterion_numbers(only, monkeypatch, capsys):
+    ran = []
+    criteria = tuple((n, name, lambda n=n: ran.append(n) or (True, "")) for n, name, _ in acceptance._CRITERIA)
+    monkeypatch.setattr(acceptance, "_CRITERIA", criteria)
+    assert main(["verify", "--only", *only]) == 2
+    captured = capsys.readouterr()
+    assert ran == [] and captured.out == ""
+    unknown = ", ".join(sorted((n for n in only if int(n) not in range(1, 13)), key=int))
+    assert captured.err == f"gapcount: error: unknown criterion number(s) {unknown}; criteria are 1-12\n"
+
+
 def test_pdo_dp_mode_honours_dim(capsys):
     assert main(["pdo", "--mode", "dp", "--p", "1", "--L", "4", "--M", "32", "--dim", "2"]) == 0
     header, row = capsys.readouterr().out.strip().split("\n")
@@ -381,12 +394,17 @@ REJECTED_INPUTS = {
         "theta table theta2.txt: 2-component directions in dimension 3",
     ),
     "count-graph-with-nan-Q": (_COUNT + ["--graph", "nanq.json"], "vertex 1: Q must be finite"),
+    "gamma-empty-theta-table": (
+        _GAMMA + ["--graph", "square:2", "--p", "1", "--theta", "table:empty.txt"],
+        "theta table empty.txt has no rows",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(REJECTED_INPUTS))
 def test_rejected_inputs_print_one_error_line(case, tmp_path, monkeypatch, capsys):
     (tmp_path / "theta2.txt").write_text("1 0 1\n0 1 2\n")
+    (tmp_path / "empty.txt").write_text("")
     (tmp_path / "nanq.json").write_text(json.dumps({**CHAIN, "vertices": [{"id": 1, "offset": [0.0], "Q": math.nan}]}))
     monkeypatch.chdir(tmp_path)
     argv, message = REJECTED_INPUTS[case]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,7 @@ from gapcount.periodic_graph import (
     assemble_truncated,
     build_graph,
     dimer_chain,
+    load_graph,
     square_lattice,
 )
 
@@ -170,6 +172,35 @@ def test_flat_band_stops_at_the_extremizer_cap():
     assert rep.verdict == "non-regular"
     assert len(rep.extremizers) == floquet._MAX_EXTREMIZERS + 1
     assert rep.hessians == ()
+
+
+@pytest.mark.parametrize(
+    "graph, gap_index, which",
+    [
+        ("square:3", 0, "upper"),
+        ("honeycomb", 1, "lower"),
+        ("honeycomb", 1, "upper"),
+    ],
+)
+def test_hessians_of_each_extremizer_take_one_band_call(graph, gap_index, which):
+    graph = square_lattice(3) if graph == "square:3" else load_graph(Path(__file__).parent / "data" / "honeycomb.json")
+    edge = gap_edge(find_gaps(band_structure(graph, 64))[gap_index], which, graph.nu)
+    calls = []
+
+    def band(K):
+        calls.append(np.array(K))
+        return band_values(graph, K)[:, edge.band_index]
+
+    rep = check_edge_regularity(band, edge, graph.dim)
+    d = graph.dim
+    # besides the stencils: one coarse-grid call, then pattern-search calls of
+    # one point or 2d neighbours
+    stencils = [K for K in calls if K.shape[0] not in (1, 2 * d, floquet._COARSE_GRID**d)]
+    assert rep.verdict == "regular"
+    assert len(stencils) == len(rep.extremizers) == len(rep.hessians)
+    for K, x in zip(stencils, rep.extremizers):
+        assert K.shape == (3 * (2 * d * d + 1), d)  # centre, +-e_i, +-e_i +- e_j at three steps
+        np.testing.assert_array_equal(K[0], x)
 
 
 def graph_doc(dim, vertices, edges):

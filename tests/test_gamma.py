@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import gapcount.floquet as floquet
+import gapcount.gamma as gamma
 from gapcount.floquet import band_structure, band_values, find_gaps, gap_edge, torus_bands, torus_grid
 from gapcount.gamma import (
     GammaError,
@@ -36,6 +37,17 @@ def test_gamma_matches_scalar_quadrature_oracle():
     res = gamma_coefficient(bands, -1.0, 1.0, "-", theta_const(1.0))
     expected = oracle * 2.0 / (2.0 * math.pi)
     assert res.value == pytest.approx(expected, abs=1e-10)
+
+
+def test_gamma_rejects_dimension_4_before_its_torus_sweeps(monkeypatch):
+    bands = band_structure(square_lattice(4), 4)
+
+    def no_sweep(graph, M):
+        raise AssertionError("torus sweep ran before the dimension check")
+
+    monkeypatch.setattr(gamma, "torus_bands", no_sweep)
+    with pytest.raises(GammaError, match="unsupported dimension d=4"):
+        gamma_coefficient(bands, -1.0, 1.0, "-", theta_const(1.0))
 
 
 def test_gamma_plus_vanishes_below_spectrum():

@@ -5,6 +5,7 @@ import pytest
 
 import gapcount.pdo_lab as pdo_lab
 from gapcount.floquet import torus_grid
+from gapcount.gamma import GammaError
 from gapcount.pdo_lab import (
     PdoError,
     SymbolTriple,
@@ -296,3 +297,12 @@ def test_homogeneous_symbol_values():
     assert 0 not in idx
     assert idx[2] == pytest.approx(2.0 ** (-0.5))
     assert idx[-3] == pytest.approx(3.0 ** (-0.5))
+
+
+def test_dp_rejects_dimension_4_before_its_gram(monkeypatch):
+    def no_gram(triple):
+        raise AssertionError("Gram formed before the dimension check")
+
+    monkeypatch.setattr(pdo_lab, "pdo_singular_values", no_gram)
+    with pytest.raises(GammaError, match="unsupported dimension d=4"):
+        dp_vs_formula(torus_one(), 1.0, torus_one(), 1.0, 3, 24, d=4)

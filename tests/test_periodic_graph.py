@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,16 @@ def test_theta_profile_rejects_negative_or_nan_values(tmp_path):
     np.testing.assert_array_equal(theta_table(path)(u), [1.0, 2.0])
     with pytest.raises(GraphError, match="2-component directions in dimension 3"):
         theta_table(path)(np.eye(3))
+
+
+@pytest.mark.parametrize("text", ["", "# directions, then a value\n\n"], ids=["empty", "comment-only"])
+def test_theta_table_needs_a_row(text, tmp_path):
+    path = tmp_path / "theta.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's own "no data" warning must not reach the caller
+        with pytest.raises(GraphError, match="has no rows"):
+            theta_table(path)
 
 
 def test_potential_homogeneity_in_theta():

@@ -152,7 +152,7 @@ def test_fan_inequality():
 
 
 def test_default_lambda_ladder_monotone():
-    gap = Gap(1.0, 2.0, "interior", 2, 0.1)
+    gap = Gap(1.0, 2.0, "interior", 2)
     up = default_lambda_ladder(gap, "+")
     down = default_lambda_ladder(gap, "-")
     assert np.all(np.diff(up) < 0) and up[0] < 2.0 and up[-1] > 1.0
@@ -162,7 +162,7 @@ def test_default_lambda_ladder_monotone():
 def test_edge_counting_scalar_model():
     H = np.array([[2.0]])
     v = np.array([1.0])
-    gap = Gap(-math.inf, 2.0, "left-semi-infinite", None, 0.1)
+    gap = Gap(-math.inf, 2.0, "left-semi-infinite", None)
     res = edge_counting(H, v, gap, tau=4.0, sign="-")
     assert res.estimate == 1
     assert res.counts[-1] == res.counts[-2]
@@ -194,7 +194,7 @@ def test_edge_counting_certifies_the_ladder_with_two_counts(monkeypatch):
 def test_edge_counting_bisects_a_ladder_around_an_eigenvalue():
     H = np.diag([-1.0, 0.6, 2.0])
     v = np.array([1.0, 0.0, 1.0])
-    gap = Gap(0.0, 1.0, "interior", 2, 0.1)
+    gap = Gap(0.0, 1.0, "interior", 2)
     lams = default_lambda_ladder(gap, "-")
     assert lams[0] < 0.6 < lams[1]  # the eigenvalue lies inside the ladder's span
     A = sc._symmetric_matrix(H)
@@ -226,7 +226,7 @@ def test_resolvent_counts_match_a_dense_oracle(eigenvalues, lambdas):
 def test_edge_counting_rejects_a_rung_on_an_eigenvalue():
     H = np.diag([-1.0, 0.75, 2.0])
     v = np.array([1.0, 0.0, 1.0])
-    gap = Gap(0.0, 1.0, "interior", 2, 0.1)
+    gap = Gap(0.0, 1.0, "interior", 2)
     with pytest.raises(CountingError, match=r"lambda=0\.75 is within"):
         edge_counting(H, v, gap, tau=3.0, sign="-")
 
@@ -752,6 +752,16 @@ def test_counting_rejects_a_non_finite_matrix(bad):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_inertia_rejects_a_non_finite_shift(bad):
+    # before the check, nan counted 0 and inf 3 after a dense fallback
+    A = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(CountingError, match="must be finite"):
+        inertia(A, bad)
+    with pytest.raises(CountingError, match="must be finite"):
+        eigencount_below(A, bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_counting_rejects_a_non_finite_lambda_or_tau(bad):
     graph = square_lattice(1)
     H = assemble_truncated(graph, 30)
@@ -837,7 +847,7 @@ def test_counting_entries_reject_bad_tau_and_sign(tau, sign):
     graph = square_lattice(1)
     H = assemble_truncated(graph, 20)
     v = sample_potential(graph, theta_const(1.0), 1.0, 20)
-    gap = Gap(-2.0, 0.0, "interior", 2, 0.1)  # both edges finite, so either sign has a ladder
+    gap = Gap(-2.0, 0.0, "interior", 2)  # both edges finite, so either sign has a ladder
     with pytest.raises(CountingError, match="tau|sign"):
         counting_direct(H, v, -1.0, tau, sign)
     with pytest.raises(CountingError, match="tau|sign"):
