@@ -25,7 +25,7 @@ from .floquet import (
     torus_bands,
     torus_grid,
 )
-from .gamma import edge_integral, gamma_coefficient, weak_edge_membership
+from .gamma import check_dimension, edge_integral, gamma_coefficient, weak_edge_membership
 from .pdo_lab import commutator_decay, cwikel_ratio, dp_vs_formula, homogeneous_symbol, parse_torus_function
 from .periodic_graph import (
     assemble_truncated,
@@ -141,6 +141,7 @@ def _cmd_regularity(args) -> int:
 
 def _cmd_gamma(args) -> int:
     graph = _load_graph(args.graph)
+    check_dimension(graph.dim)  # before the band sweep
     bands = band_structure(graph, args.grid)
     theta = parse_theta(args.theta)
     sign = _parse_sign(args.sign)

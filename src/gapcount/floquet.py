@@ -7,17 +7,31 @@ z_e = e^{i k.n} per edge (j, j', n):
     h(k)_{jj}  = degree(j) + Q(j) - sum over self-orbit edges 2 Re z_e
     h(k)_{jj'} -= z_e   for each stored edge (j, j', n), j != j'
 
-`_assemble` is the one place that does this. At scattered quasimomenta
-(`fiber_matrix`, `band_values`) the phases are e^{i K.n}. On the uniform
-M^d torus grid, `torus_bands` never forms k-points: e^{i k.n} is the
-product over axes of the tables e^{i n_a k_a}, each of length M, so a
-block's phase is a broadcast product of table slices. Blocks follow the
-C order of `torus_grid`: whole trailing axes, a run of the next axis,
-and fixed indices on the leading axes, never more than _CHUNK points.
+`_assemble` is the one place that builds this matrix, and
+`_band_energies` the one place that takes its eigenvalues: in real
+arithmetic for nu = 1, by the closed form m +- hypot((a - d)/2, |b|) for
+nu = 2, by LAPACK for nu >= 3. At scattered quasimomenta (`fiber_matrix`,
+`band_values`) the phases are e^{i K.n}. On the uniform M^d torus grid,
+`torus_bands` never forms k-points: e^{i k.n} is the product over axes
+of the tables e^{i n_a k_a}, each of length M, so a block's phase is a
+broadcast product of table slices. Blocks follow the C order of
+`torus_grid`: whole trailing axes, a run of the next axis, and fixed
+indices on the leading axes, never more than _CHUNK points.
+
+Half sweep. Edge multiplicities are integers and Q is real, so every
+edge weight is real and h(-k) = conj h(k): each band is even,
+E_s(-k) = E_s(k). The grid -pi + 2 pi m / M maps onto itself under
+k -> -k (m -> -m mod M), so the axis-0 slice m carries the band values
+of slice -m mod M, up to rounding. Gamma's torus sums and the band
+extrema therefore read only the slices m = 0..M//2, each weighted by its
+mirror count: 1 for m = 0 and, for even M, m = M/2 (each its own
+mirror), 2 for the rest (`_half_torus_bands`). A graph with complex edge
+weights would break this symmetry.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -28,6 +42,7 @@ from .errors import GapcountError
 from .periodic_graph import PeriodicGraph
 
 _CHUNK = 1 << 18
+_EPS = float(np.finfo(float).eps)
 
 # check_edge_regularity: coarse search grid per axis, finite-difference step
 # of the coarsest Hessian, relative definiteness tolerance, and the number of
@@ -116,11 +131,43 @@ def _assemble(graph: PeriodicGraph, phases: Sequence[np.ndarray], shape: tuple[i
     return h
 
 
-def _eigvals(h: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalues of a batch of fibers, one row per point in C order."""
-    nu = h.shape[-1]
-    h = h.reshape(-1, nu, nu)
-    return h[:, 0, 0].real[:, None] if nu == 1 else np.linalg.eigvalsh(h)
+def _pair_eigvals(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues m - r <= m + r of the Hermitian [[a, b], [conj b, d]], broadcast over arrays.
+
+    m = (a + d)/2 and r = hypot((a - d)/2, |b|). An r <= eps |m| is taken
+    as 0, as LAPACK deflates it, so touching bands do not split by rounding.
+    """
+    m = 0.5 * (a + d)
+    r = np.hypot(0.5 * (a - d), np.abs(b))
+    r = np.where(r <= _EPS * np.abs(m), 0.0, r)
+    return m - r, m + r
+
+
+def _band_energies(graph: PeriodicGraph, phases: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """Sorted eigenvalues of h(k) over a batch of the given shape, one row per point in C order.
+
+    For nu <= 2 the fiber is never formed: its diagonal is accumulated in
+    real arithmetic, in the same operations as `_assemble`, so a scalar
+    band is bitwise the diagonal that `_assemble` would build, and a pair
+    of bands comes from `_pair_eigvals`. Larger fibers go to LAPACK.
+    """
+    nu = graph.nu
+    if nu > 2:
+        return np.linalg.eigvalsh(_assemble(graph, phases, shape).reshape(-1, nu, nu))
+    diag: list = list(graph.degrees + graph.Q)
+    b = 0j
+    for e, z in zip(graph.edges, phases):
+        if e.j == e.jp:
+            diag[e.j - 1] = diag[e.j - 1] - 2.0 * e.mult * z.real
+        else:
+            w = e.mult * z
+            b = b - (w if e.j == 1 else np.conj(w))
+    if nu == 1:
+        E = diag[0]  # a fresh array once the phases span the block
+        return (E if np.shape(E) == shape else np.broadcast_to(E, shape).copy()).reshape(-1, 1)
+    E = np.empty(shape + (2,))
+    E[..., 0], E[..., 1] = _pair_eigvals(diag[0], diag[1], b)
+    return E.reshape(-1, 2)
 
 
 def hermitian_eigen(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +188,7 @@ def band_values(graph: PeriodicGraph, K: np.ndarray) -> np.ndarray:
     blocks = []
     for start in range(0, K.shape[0], _CHUNK):
         Kb = K[start : start + _CHUNK]
-        blocks.append(_eigvals(_assemble(graph, _phases(graph, Kb), (Kb.shape[0],))))
+        blocks.append(_band_energies(graph, _phases(graph, Kb), (Kb.shape[0],)))
     return np.concatenate(blocks, axis=0)
 
 
@@ -159,42 +206,63 @@ def torus_grid(dim: int, M: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _grid_blocks(dim: int, M: int) -> Iterator[tuple[range, ...]]:
+def _grid_blocks(dim: int, M: int, first: range) -> Iterator[tuple[range, ...]]:
     """Per-axis index ranges of the C-order blocks of the M^dim grid, each of at most _CHUNK points.
 
     A block holds the last `whole` axes entirely, a run of the axis before
-    them, and one index on each axis before that.
+    them, and one index on each axis before that. Axis 0 covers only the
+    indices in `first`.
     """
     whole = 0
     while whole < dim - 1 and M ** (whole + 1) <= _CHUNK:
         whole += 1
     run = min(M, _CHUNK // M**whole)
-    for lead in np.ndindex(*(M,) * (dim - 1 - whole)):
-        for start in range(0, M, run):
-            yield tuple(range(i, i + 1) for i in lead) + (range(start, min(start + run, M)),) + (range(M),) * whole
+    axes = (first,) + (range(M),) * (dim - 1)
+    lead, span = axes[: dim - 1 - whole], axes[dim - 1 - whole]
+    for fixed in itertools.product(*lead):
+        for start in range(span.start, span.stop, run):
+            yield tuple(range(i, i + 1) for i in fixed) + (range(start, min(start + run, span.stop)),) + (range(M),) * whole
 
 
-def torus_bands(graph: PeriodicGraph, M: int) -> Iterator[np.ndarray]:
+def torus_bands(graph: PeriodicGraph, M: int, *, _axis0: range | None = None) -> Iterator[np.ndarray]:
     """Sorted band energies at the rows of torus_grid(graph.dim, M), in C-order blocks.
 
     Each edge phase e^{i k.n} is the broadcast product of the per-axis
     tables e^{i n_a k_a} indexed by the block, so no block forms k-points.
+    `_axis0` keeps only the rows whose axis-0 index it holds, for
+    `_half_torus_bands`.
     """
     if M < 2:
         raise EigenError("grid size must be >= 2")
     axis = _torus_axis(M)
     tables = [[(a, np.exp(1j * (n * axis))) for a, n in enumerate(e.cell) if n] for e in graph.edges]
-    for block in _grid_blocks(graph.dim, M):
+    for block in _grid_blocks(graph.dim, M, range(M) if _axis0 is None else _axis0):
         ix = np.ix_(*block)
         phases = [math.prod((t[ix[a]] for a, t in edge), start=1.0 + 0j) for edge in tables]
-        yield _eigvals(_assemble(graph, phases, tuple(map(len, block))))
+        yield _band_energies(graph, phases, tuple(map(len, block)))
+
+
+def _half_torus_bands(graph: PeriodicGraph, M: int) -> Iterator[tuple[float, np.ndarray]]:
+    """(w, E) blocks over the axis-0 slices m = 0..M//2 in order, w the mirror count of every row of E.
+
+    Summing w * f(E) over the blocks gives the sum of f(E) over the whole
+    M^d grid, and the blocks hold every band value up to rounding (see the
+    module docstring). The slices are swept in three runs of equal weight:
+    m = 0, then 0 < m < M/2, then m = M/2 for even M.
+    """
+    runs = [(1.0, range(1)), (2.0, range(1, (M + 1) // 2))]
+    if M % 2 == 0:
+        runs.append((1.0, range(M // 2, M // 2 + 1)))
+    for w, first in runs:
+        for E in torus_bands(graph, M, _axis0=first):
+            yield w, E
 
 
 def band_structure(graph: PeriodicGraph, M: int) -> BandStructure:
-    """Per-band min and max over the M^d torus grid, taken block by block."""
+    """Per-band min and max over the M^d torus grid, taken block by block over its half sweep."""
     lo = np.full(graph.nu, np.inf)
     hi = np.full(graph.nu, -np.inf)
-    for E in torus_bands(graph, M):
+    for _, E in _half_torus_bands(graph, M):
         lo = np.minimum(lo, E.min(axis=0))
         hi = np.maximum(hi, E.max(axis=0))
     return BandStructure(graph, M, np.stack([lo, hi], axis=1))

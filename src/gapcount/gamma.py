@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GapcountError
-from .floquet import BandStructure, GapEdge, torus_bands
+from .floquet import BandStructure, GapEdge, _half_torus_bands, torus_bands
 from .floquet import band_values  # noqa: F401  unused; perfbench/test_perfbench.py asserts this binding
 from .periodic_graph import PeriodicGraph, ThetaProfile
 
@@ -32,6 +32,10 @@ _POLAR_POINTS = 64
 # per dimension d, 64 for d > 3.
 _WEAK_LEVELS = 40
 _WEAK_GRID = {1: 4096, 2: 512, 3: 96}
+# A signed part |lam - E| <= _ROUNDING_FLOOR * max(1, |lam|) is taken as 0: at
+# a sampled gap edge, band values that equal the edge in exact arithmetic
+# land a few ulps to either side of it, and 1/part would blow them up.
+_ROUNDING_FLOOR = 16.0 * float(np.finfo(float).eps)
 
 
 class GammaError(GapcountError):
@@ -70,6 +74,12 @@ class EdgeGammaResult:
 # sphere quadrature
 
 
+def check_dimension(d: int) -> None:
+    """Reject a lattice dimension that the sphere quadrature, and so Gamma, does not cover."""
+    if d not in (1, 2, 3):
+        raise GammaError(f"unsupported dimension d={d}")
+
+
 def sphere_integral(theta: ThetaProfile | Callable, p: float, d: int) -> float:
     """int_{S^{d-1}} theta(w)^p dS(w) for d in {1, 2, 3}."""
     if not 0 < p < math.inf:
@@ -77,6 +87,7 @@ def sphere_integral(theta: ThetaProfile | Callable, p: float, d: int) -> float:
     fn = theta if callable(theta) else None
     if fn is None:
         raise TypeError("theta must be callable")
+    check_dimension(d)
     if d == 1:
         dirs = np.array([[1.0], [-1.0]])
         vals = np.asarray(fn(dirs), dtype=float)
@@ -87,23 +98,22 @@ def sphere_integral(theta: ThetaProfile | Callable, p: float, d: int) -> float:
         dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
         vals = np.asarray(fn(dirs), dtype=float)
         return float(np.sum(vals**p) * (2.0 * math.pi / n))
-    if d == 3:
-        npol = _POLAR_POINTS
-        nazi = 2 * npol
-        t, w = np.polynomial.legendre.leggauss(npol)  # polar cosine
-        phi = 2.0 * math.pi * np.arange(nazi) / nazi
-        st = np.sqrt(1.0 - t**2)
-        dirs = np.stack(
-            [
-                np.outer(st, np.cos(phi)).ravel(),
-                np.outer(st, np.sin(phi)).ravel(),
-                np.repeat(t, nazi),
-            ],
-            axis=1,
-        )
-        vals = np.asarray(fn(dirs), dtype=float).reshape(npol, nazi)
-        return float(np.sum(w @ vals) * (2.0 * math.pi / nazi))
-    raise GammaError(f"unsupported dimension d={d}")
+    # d == 3
+    npol = _POLAR_POINTS
+    nazi = 2 * npol
+    t, w = np.polynomial.legendre.leggauss(npol)  # polar cosine
+    phi = 2.0 * math.pi * np.arange(nazi) / nazi
+    st = np.sqrt(1.0 - t**2)
+    dirs = np.stack(
+        [
+            np.outer(st, np.cos(phi)).ravel(),
+            np.outer(st, np.sin(phi)).ravel(),
+            np.repeat(t, nazi),
+        ],
+        axis=1,
+    )
+    vals = np.asarray(fn(dirs), dtype=float).reshape(npol, nazi)
+    return float(np.sum(w @ vals) * (2.0 * math.pi / nazi))
 
 
 # ---------------------------------------------------------------------------
@@ -111,27 +121,34 @@ def sphere_integral(theta: ThetaProfile | Callable, p: float, d: int) -> float:
 
 
 def _signed_part(lam: float, E: np.ndarray, sign: str) -> np.ndarray:
-    """(lam - E)_{+/-}: positive part for '+', negative part for '-'."""
-    diff = lam - E
+    """(lam - E)_{+/-}: positive part for '+', negative part for '-', 0 within the rounding floor."""
     if sign == "+":
-        return np.maximum(diff, 0.0)
-    if sign == "-":
-        return np.maximum(-diff, 0.0)
-    raise GammaError("sign must be '+' or '-'")
+        part = lam - E
+    elif sign == "-":
+        part = E - lam
+    else:
+        raise GammaError("sign must be '+' or '-'")
+    part[part <= _ROUNDING_FLOOR * max(1.0, abs(lam))] = 0.0
+    return part
 
 
 def _band_power_sums(graph: PeriodicGraph, lam: float, power: float, sign: str, M: int) -> np.ndarray:
     """(2 pi / M)^d * sum over the grid of (lam - E_s)_{+/-}^{-power}, per band.
 
-    Grid points where the signed part vanishes contribute zero.
+    Grid points where the signed part vanishes contribute zero. The sum
+    runs over the half sweep, each point weighted by its mirror count.
     """
     weight = (2.0 * math.pi / M) ** graph.dim
     total = np.zeros(graph.nu)
-    for E in torus_bands(graph, M):
+    for w, E in _half_torus_bands(graph, M):
         part = _signed_part(lam, E, sign)
+        vanish = part == 0.0
         with np.errstate(divide="ignore"):
-            integrand = np.where(part > 0.0, part ** (-power), 0.0)
-        total += weight * integrand.sum(axis=0)
+            np.power(part, -power, out=part)  # in place, inf where the part vanishes
+        part[vanish] = 0.0
+        # one band at a time: numpy's column sums of an (n, 2) array are
+        # several times slower
+        total += weight * w * np.array([part[:, s].sum() for s in range(graph.nu)])
     return total
 
 
@@ -284,6 +301,7 @@ def gamma_at_edge(
         raise GammaError("p must be positive and finite")
     if kappa is None:
         kappa = default_kappa(p)
+    check_dimension(bands.graph.dim)  # before the ladder's sweeps
     report = edge_integral(bands, edge, kappa, ladder)
     if report.verdict != "convergent":
         return EdgeGammaResult(report, None)

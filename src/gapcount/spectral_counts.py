@@ -64,7 +64,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import GapcountError
 from .floquet import Gap, band_structure
-from .gamma import GammaResult, gamma_coefficient
+from .gamma import GammaResult, check_dimension, gamma_coefficient
 from .periodic_graph import (
     FiniteHamiltonian,
     PeriodicGraph,
@@ -634,7 +634,9 @@ def asymptotic_table(
             raise CountingError(
                 f"largest L={Lmax} below the support heuristic {need:.1f} for tau={tau}"
             )
-    # rejects a lambda within 1e-12 of a band, before any box is built
+    # rejects d > 3 before the band sweep, and a lambda within 1e-12 of a band
+    # before any box is built
+    check_dimension(graph.dim)
     gamma = gamma_coefficient(band_structure(graph, grid), lam, p, sign, theta)
 
     # Per box: V and its BSMatrix, which holds the checked H_L, the count below

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
@@ -31,6 +32,13 @@ from gapcount.periodic_graph import (
     load_graph,
     square_lattice,
 )
+
+_EPS = np.finfo(float).eps
+# In units of eps ||h||_2: the closed form rounds m and r a few times each
+# (it stayed within 1.8 on 2^18 random 2 x 2 fibers against 50-digit
+# arithmetic), while LAPACK's eigvalsh strayed up to 7.5 on the same fibers.
+_CLOSED_FORM_TOL = 3.0
+_LAPACK_TOL = 8.0
 
 
 def test_fiber_chain_endpoints():
@@ -311,7 +319,10 @@ def test_random_graph_fiber_and_sweep(graph, data):
     h = fiber_matrix(graph, k)
     np.testing.assert_array_equal(h, h.conj().T)
     scale = max(1.0, float(np.abs(h).sum()))
-    assert abs(band_values(graph, k).sum() - np.trace(h).real) <= 1e-12 * scale
+    E = band_values(graph, k)
+    assert abs(E.sum() - np.trace(h).real) <= 1e-12 * scale
+    lapack_tol = (_CLOSED_FORM_TOL + _LAPACK_TOL) * _EPS * np.linalg.norm(h, 2)
+    assert np.abs(E[0] - np.linalg.eigvalsh(h)).max() <= lapack_tol
 
     M = data.draw(st.integers(2, 7))
     chunk = data.draw(st.integers(1, M**graph.dim))
@@ -320,3 +331,124 @@ def test_random_graph_fiber_and_sweep(graph, data):
         scattered = band_values(graph, torus_grid(graph.dim, M))
     assert sweep.shape == (M**graph.dim, graph.nu)
     assert np.abs(sweep - scattered).max() <= 1e-12 * max(1.0, float(np.abs(scattered).max()))
+
+
+# ---------------------------------------------------------------------------
+# closed-form bands for nu <= 2, and the half sweep
+
+def exact_pair_eigvals(a: float, d: float, b: complex) -> tuple[float, float]:
+    """Eigenvalues of [[a, b], [conj b, d]] in 50-digit decimal arithmetic from the exact float entries."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        A, D, B1, B2 = (Decimal(float(x)) for x in (a, d, b.real, b.imag))
+        m = (A + D) / 2
+        r = (((A - D) / 2) ** 2 + B1 * B1 + B2 * B2).sqrt()
+        return float(m - r), float(m + r)
+
+
+def exact_fiber_eigvals(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a batch of 1 x 1 or 2 x 2 fibers, each correctly rounded."""
+    if h.shape[-1] == 1:
+        return h[:, :, 0].real
+    return np.array([exact_pair_eigvals(x[0, 0].real, x[1, 1].real, x[0, 1]) for x in h])
+
+
+def pair_fibers(a, d, b) -> np.ndarray:
+    h = np.empty((a.size, 2, 2), dtype=complex)
+    h[:, 0, 0], h[:, 1, 1], h[:, 0, 1], h[:, 1, 0] = a, d, b, np.conj(b)
+    return h
+
+
+def test_pair_closed_form_against_exact_and_lapack_eigenvalues():
+    rng = np.random.default_rng(21)
+    n = 200
+    a, d = rng.standard_normal((2, 5, n))
+    b = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    b[1] = 0.0  # diagonal fibers
+    d[2] = a[2]  # equal diagonal: r = |b|
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, n)  # entries over 16 decades
+    a[3], d[3], b[3] = a[3] * scale, d[3] * scale, b[3] * scale
+    d[4], b[4] = a[4], b[4] * 1e-17 * np.abs(a[4])  # split below eps |m|: taken as touching
+    a, d, b = a.ravel(), d.ravel(), b.ravel()
+    h = pair_fibers(a, d, b)
+    norm = np.linalg.norm(h, 2, axis=(1, 2))
+    E = np.stack(floquet._pair_eigvals(a, d, b), axis=1)
+    assert np.all(np.abs(E - exact_fiber_eigvals(h)).max(axis=1) <= _CLOSED_FORM_TOL * _EPS * norm)
+    lapack_tol = (_CLOSED_FORM_TOL + _LAPACK_TOL) * _EPS * norm
+    assert np.all(np.abs(E - np.linalg.eigvalsh(h)).max(axis=1) <= lapack_tol)
+    np.testing.assert_array_equal(E[4 * n :, 0], E[4 * n :, 1])
+
+
+SMALL_FIBER_GRAPHS = {
+    "square1": square_lattice(1),
+    "square2": square_lattice(2, 0.3),
+    "square3": square_lattice(3),
+    "dimer": dimer_chain(),
+    "dimer-touching": dimer_chain(Q=(0.0, 0.0)),
+    "honeycomb": load_graph(Path(__file__).parent / "data" / "honeycomb.json"),
+}
+
+
+@pytest.mark.parametrize("name", list(SMALL_FIBER_GRAPHS))
+def test_closed_form_bands_of_every_small_fiber_graph(name):
+    graph = SMALL_FIBER_GRAPHS[name]
+    rng = np.random.default_rng(5)
+    M = {1: 64, 2: 16, 3: 6}[graph.dim]
+    K = np.concatenate([torus_grid(graph.dim, M), rng.uniform(-math.pi, math.pi, (32, graph.dim))])
+    h = np.stack([fiber_matrix(graph, k) for k in K])
+    norm = np.linalg.norm(h, 2, axis=(1, 2))[:, None]
+    E = band_values(graph, K)
+    exact = exact_fiber_eigvals(h)
+    if graph.nu == 1:
+        np.testing.assert_array_equal(E, exact)  # the assembled diagonal itself
+    assert np.all(np.abs(E - exact) <= _CLOSED_FORM_TOL * _EPS * norm)
+    assert np.all(np.abs(E - np.linalg.eigvalsh(h)) <= (_CLOSED_FORM_TOL + _LAPACK_TOL) * _EPS * norm)
+
+
+def test_touching_dimer_bands_meet_exactly_at_minus_pi():
+    # |b| = |1 + e^{-i pi}| = 1.2e-16 from rounding; the bands must not split by it
+    E = band_values(dimer_chain(Q=(0.0, 0.0)), np.array([[-math.pi]]))
+    assert E[0, 0] == E[0, 1] == 2.0
+
+
+HONEYCOMB = SMALL_FIBER_GRAPHS["honeycomb"]
+
+
+@pytest.mark.parametrize(
+    "graph, M, chunk",
+    [
+        # axis-0 blocks: m = 0 alone, runs of `chunk` from m = 1 cut at the
+        # half boundary, then m = M/2 alone for even M
+        (square_lattice(1), 10, 4),  # [0, 1), [1, 5), [5, 6)
+        (square_lattice(1), 9, 4),  # [0, 1), [1, 5): odd M, only m = 0 is its own mirror
+        (dimer_chain(), 11, 3),  # [0, 1), [1, 4), [4, 6)
+        (HONEYCOMB, 8, 20),  # whole slices: [0, 1), [1, 3), [3, 4), [4, 5)
+        (HONEYCOMB, 7, 21),  # [0, 1), [1, 4)
+        (diagonal_two_vertex_graph(), 9, 5),  # a slice cut into runs of 5 and 4 points of axis 1
+        (lieb_lattice(2), 6, 1 << 18),  # nu = 3 goes to LAPACK; [0, 1), [1, 3), [3, 4)
+        (square_lattice(3), 6, 10),  # axis 0 fixed per block
+        (square_lattice(3), 5, 60),  # [0, 1), [1, 3)
+        (square_lattice(3, 0.5), 8, 1 << 18),
+    ],
+    ids=["square1-even", "square1-odd", "dimer-odd", "honeycomb-even", "honeycomb-odd", "diagonal-odd",
+         "lieb2", "square3-even", "square3-odd", "square3-one-block"],
+)
+def test_half_sweep_matches_the_full_sweep(graph, M, chunk, monkeypatch):
+    monkeypatch.setattr(floquet, "_CHUNK", chunk)
+    full = np.concatenate(list(torus_bands(graph, M)))
+    blocks = list(floquet._half_torus_bands(graph, M))
+    assert max(E.shape[0] for _, E in blocks) <= chunk
+    w = np.concatenate([np.full(E.shape[0], w) for w, E in blocks])
+    E = np.concatenate([E for _, E in blocks])
+    rows = M ** (graph.dim - 1)
+    # the slices m = 0..M//2 of axis 0, as the full sweep has them, each
+    # weighted by the number of slices m' with m' = m or m' = -m mod M
+    np.testing.assert_array_equal(E, full[: (M // 2 + 1) * rows])
+    mirrors = [1.0 if m == -m % M else 2.0 for m in range(M // 2 + 1)]
+    np.testing.assert_array_equal(w, np.repeat(mirrors, rows))
+    assert w.sum() == M**graph.dim
+    lam = float(full.min()) - 1.0
+    np.testing.assert_allclose(w @ (E - lam) ** -1.5, ((full - lam) ** -1.5).sum(axis=0), rtol=1e-13)
+    extrema = band_structure(graph, M).band_extrema
+    atol = 4.0 * _EPS * float(np.abs(full).max())
+    np.testing.assert_allclose(extrema, np.stack([full.min(axis=0), full.max(axis=0)], axis=1), rtol=0.0, atol=atol)

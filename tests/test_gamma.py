@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +9,20 @@ from scipy.integrate import quad
 
 import gapcount.floquet as floquet
 import gapcount.gamma as gamma
-from gapcount.floquet import band_structure, band_values, find_gaps, gap_edge, torus_bands, torus_grid
+from gapcount.cli import main
+from gapcount.floquet import (
+    band_structure,
+    band_values,
+    check_gap_edge_regularity,
+    find_gaps,
+    gap_edge,
+    torus_bands,
+    torus_grid,
+)
 from gapcount.gamma import (
     GammaError,
     _band_power_sums,
+    _signed_part,
     default_kappa,
     edge_integral,
     gamma_at_edge,
@@ -18,7 +30,10 @@ from gapcount.gamma import (
     sphere_integral,
     weak_edge_membership,
 )
-from gapcount.periodic_graph import ThetaProfile, dimer_chain, square_lattice, theta_const
+from gapcount.periodic_graph import ThetaProfile, build_graph, dimer_chain, load_graph, square_lattice, theta_const
+from gapcount.spectral_counts import asymptotic_table
+
+HONEYCOMB = Path(__file__).parent / "data" / "honeycomb.json"
 
 
 def test_sphere_integral_constants():
@@ -294,3 +309,106 @@ def test_weak_membership_holds_no_grid():
     # One float per point of the 96^3 grid alone takes 7 MB; with its sorted
     # copy and the sweep's blocks the full-grid check peaks near 24 MB.
     assert peak < 16e6
+
+
+def full_grid_power_sums(graph, lam, power, sign, M):
+    """The sums of _band_power_sums from every point of the full grid."""
+    total = np.zeros(graph.nu)
+    for E in torus_bands(graph, M):
+        part = _signed_part(lam, E, sign)
+        with np.errstate(divide="ignore"):
+            total += np.where(part > 0.0, part ** (-power), 0.0).sum(axis=0)
+    return total * (2.0 * math.pi / M) ** graph.dim
+
+
+@pytest.mark.parametrize(
+    "graph, M, chunk",
+    [
+        # axis-0 blocks: m = 0 alone, runs of whole slices from m = 1 cut at
+        # the half boundary, then m = M/2 alone for even M
+        (square_lattice(1), 64, 20),  # [0, 1), [1, 21), [21, 32), [32, 33)
+        (square_lattice(1), 63, 20),  # [0, 1), [1, 21), [21, 32)
+        (dimer_chain(), 33, 5),  # ..., [11, 16), [16, 17)
+        (load_graph(HONEYCOMB), 16, 40),  # ..., [5, 7), [7, 8), [8, 9)
+        (load_graph(HONEYCOMB), 15, 50),  # [0, 1), [1, 4), [4, 7), [7, 8)
+        (square_lattice(3), 12, 100),  # axis 0 fixed per block
+        (square_lattice(3), 11, 500),  # [0, 1), [1, 5), [5, 6)
+    ],
+    ids=["square1-even", "square1-odd", "dimer-odd", "honeycomb-even", "honeycomb-odd", "square3-even",
+         "square3-odd"],
+)
+def test_half_sweep_sums_match_the_full_grid(graph, M, chunk, monkeypatch):
+    monkeypatch.setattr(floquet, "_CHUNK", chunk)
+    ext = band_structure(graph, M).band_extrema
+    cases = [(float(ext[:, 0].min()) - 0.5, 1.5, "-"), (float(ext[:, 1].max()) + 0.5, 1.0, "+")]
+    # at a sampled band edge the integrand is singular; the edge's own points drop out
+    cases += [(float(ext[0, 0]), 0.5, "-"), (float(ext[-1, 1]), 0.5, "+")]
+    for lam, power, sign in cases:
+        half = _band_power_sums(graph, lam, power, sign, M)
+        np.testing.assert_allclose(half, full_grid_power_sums(graph, lam, power, sign, M), rtol=1e-13)
+
+
+def test_signed_part_takes_a_rounding_level_difference_as_zero():
+    lam = 3.0
+    floor = 16.0 * np.finfo(float).eps * lam
+    E = np.array([lam - 0.5 * floor, lam + 0.5 * floor, lam - 2.0 * floor, lam + 2.0 * floor, 2.0, 4.0])
+    np.testing.assert_array_equal(_signed_part(lam, E, "+"), [0.0, 0.0, lam - E[2], 0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(_signed_part(lam, E, "-"), [0.0, 0.0, 0.0, E[3] - lam, 0.0, 1.0])
+    # below |lam| = 1 the floor stays at 16 eps
+    np.testing.assert_array_equal(_signed_part(0.0, np.array([1e-15, 1e-14]), "-"), [0.0, 1e-14])
+
+
+def test_honeycomb_lower_edge_ladder_converges_and_is_weak_member(capsys):
+    # Two grid points that LAPACK put 2.2e-15 below the sampled edge
+    # 2.987796716926364 used to rule the ladder (1.6e6, 4.1e5, ...).
+    argv = ["edge-conditions", "--graph", str(HONEYCOMB), "--gap-index", "1", "--which", "lower"]
+    assert main(argv + ["--kappa", "0.5", "--p", "0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["edge"] == {"value": 2.987796716926364, "sign": "+"}
+    assert doc["verdict"] == "convergent"
+    np.testing.assert_allclose(doc["estimates"], [44.40, 45.64, 46.02, 46.26], rtol=1e-3)
+    assert doc["weak"]["member"] is True and doc["weak"]["sup"] < 400.0
+
+
+def decorated_honeycomb():
+    """The honeycomb of tests/data plus a third vertex, Q = 10, joined to vertex 1 in its own cell."""
+    doc = json.loads(HONEYCOMB.read_text())
+    doc["vertices"].append({"id": 3, "offset": [0.25, 0.25], "Q": 10.0})
+    doc["edges"].append({"from": 1, "to": 3, "cell": [0, 0]})
+    return build_graph(doc)
+
+
+def test_rounding_floor_decides_a_ladder_at_a_lapack_band_edge():
+    # nu = 3 bands come from eigvalsh, which puts valley points a few ulps
+    # beyond the sampled edge; without the floor the ladder read
+    # 4.2e4 at M = 256 and was inconclusive
+    graph = decorated_honeycomb()
+    bands = band_structure(graph, 32)
+    gap = find_gaps(bands)[1]
+    assert check_gap_edge_regularity(graph, gap, "lower").verdict == "regular"
+    rep = edge_integral(bands, gap_edge(gap, "lower", graph.nu), 0.5)
+    assert rep.verdict == "convergent"
+    np.testing.assert_allclose(rep.estimates, [52.49, 54.18, 54.70, 55.02], rtol=1e-3)
+
+
+def test_four_dimensions_fail_before_any_torus_sweep(monkeypatch, capsys):
+    bands = band_structure(square_lattice(4), 4)
+    edge = gap_edge(find_gaps(bands)[0], "upper", 1)
+    calls = []
+    sweep = floquet.torus_bands
+
+    def spy(graph, M, **kwargs):
+        calls.append(M)
+        return sweep(graph, M, **kwargs)
+
+    monkeypatch.setattr(floquet, "torus_bands", spy)
+    monkeypatch.setattr(gamma, "torus_bands", spy)
+    assert main(["gamma", "--graph", "square:4", "--lambda", "-1", "--p", "1", "--sign", "minus"]) == 2
+    assert "unsupported dimension d=4" in capsys.readouterr().err
+    with pytest.raises(GammaError, match="unsupported dimension d=4"):
+        gamma_at_edge(bands, edge, 0.5, theta_const(1.0))
+    with pytest.raises(GammaError, match="unsupported dimension d=4"):
+        asymptotic_table(square_lattice(4), theta_const(1.0), 1.0, -1.0, "-", [1.0], [10])
+    assert calls == []
+    band_structure(square_lattice(1), 8)  # the spy does see the half sweep
+    assert calls and set(calls) == {8}

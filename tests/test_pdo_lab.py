@@ -216,6 +216,27 @@ def test_dp_formula_multiplication_case():
     assert 1.8 <= est.inf_est <= est.sup_est <= 2.2
 
 
+def test_constant_modsq_has_exact_coefficients_in_any_dimension():
+    # |2|^2 = 4 at every grid point: 4 at lag 0 and exact zeros, with no FFT rounding
+    for d in (1, 2):
+        c = fourier_modsq_coeffs(lambda K: np.full(K.shape[0], 2.0 + 0j), 28, 7, d)
+        expected = np.zeros((15,) * d, dtype=complex)
+        expected[(7,) * d] = 4.0
+        np.testing.assert_array_equal(c, expected)
+
+
+def test_dp_window_of_the_multiplication_case_is_exact_at_every_box():
+    # The ties |W(n)| = |W(-n)| = 1/|n| stay exact pairs once |1|^2 has no
+    # rounding-level coefficients off lag 0. L <= 4 has fewer than the 10
+    # singular values a default window needs.
+    off = []
+    for L in range(5, 200):
+        est, formula = dp_vs_formula(torus_one(), 1.0, torus_one(), 1.0, L, 8 * L)
+        if max(abs(est.inf_est - 2.0), abs(est.sup_est - 2.0), abs(formula - 2.0)) > 1e-12:
+            off.append((L, est.inf_est, est.sup_est))
+    assert off == []
+
+
 def test_dp_formula_zero_profile():
     est, formula = dp_vs_formula(torus_one(), 0.0, torus_one(), 1.0, 16, 128)
     assert formula == 0.0
