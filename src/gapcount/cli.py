@@ -86,10 +86,15 @@ def _write_json(doc, out: str | None) -> None:
     _emit(json.dumps(doc, indent=2) + "\n", out)
 
 
+def _finite_or_none(x) -> float | None:
+    """x as a JSON number, or null when infinite."""
+    return float(x) if math.isfinite(x) else None
+
+
 def _gap_json(g, grid: int) -> dict:
     return {
-        "lower": None if not math.isfinite(g.lower) else g.lower,
-        "upper": None if not math.isfinite(g.upper) else g.upper,
+        "lower": _finite_or_none(g.lower),
+        "upper": _finite_or_none(g.upper),
         "kind": g.kind,
         "band_index": g.band_index,
         "grid_step": 2.0 * math.pi / grid,
@@ -161,12 +166,12 @@ def _cmd_edge_conditions(args) -> int:
         "edge": {"value": edge.value, "sign": edge.sign},
         "kappa": args.kappa,
         "grids": list(rep.grids),
-        "estimates": [float(x) for x in rep.estimates],
+        "estimates": [_finite_or_none(x) for x in rep.estimates],
         "verdict": rep.verdict,
     }
     if args.p is not None:
         weak = weak_edge_membership(bands, edge, args.p)
-        doc["weak"] = {"p": args.p, "sup": weak.weak_sup, "member": weak.weak_member}
+        doc["weak"] = {"p": args.p, "sup": _finite_or_none(weak.weak_sup), "member": weak.weak_member}
     _write_json(doc, args.out)
     return 0
 

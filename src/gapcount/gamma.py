@@ -132,6 +132,19 @@ def _signed_part(lam: float, E: np.ndarray, sign: str) -> np.ndarray:
     return part
 
 
+def _flat_at(bands: BandStructure, value: float) -> bool:
+    """Whether a band's sampled minimum and maximum both lie within the
+    rounding floor of value, which makes its signed part 0 at every grid point.
+
+    Such a band is flat at value: det(h(k) - value) is a trigonometric
+    polynomial, so a band equal to value on a set of positive measure equals
+    it everywhere (Kuchment 2016), and (value - E_s)^{-kappa} is infinite on
+    the whole torus.
+    """
+    floor = _ROUNDING_FLOOR * max(1.0, abs(value))
+    return bool(np.any(np.all(np.abs(bands.band_extrema - value) <= floor, axis=1)))
+
+
 def _band_power_sums(graph: PeriodicGraph, lam: float, power: float, sign: str, M: int) -> np.ndarray:
     """(2 pi / M)^d * sum over the grid of (lam - E_s)_{+/-}^{-power}, per band.
 
@@ -198,7 +211,9 @@ def edge_integral(
 
     The ladder is at least two strictly increasing integer grids, each >= 2.
     Convergent if the last two ladder rungs differ by < 1%; divergent if
-    the estimates keep growing; inconclusive otherwise.
+    the estimates keep growing; inconclusive otherwise.  For kappa > 0, a
+    band flat at the edge makes every estimate infinite and the verdict
+    divergent, with no sweep.
     """
     if not 0 <= kappa < math.inf:
         raise GammaError("kappa must be >= 0 and finite")
@@ -208,6 +223,8 @@ def edge_integral(
         beyond = edge.band_index + 1 if edge.sign == "+" else graph.nu - edge.band_index
         est = np.full(len(ladder), beyond * (2.0 * math.pi) ** graph.dim)
         return EdgeIntegralReport(ladder, est, "convergent")
+    if _flat_at(bands, edge.value):
+        return EdgeIntegralReport(ladder, np.full(len(ladder), math.inf), "divergent")
     sums = np.array(
         [_band_power_sums(graph, edge.value, kappa, edge.sign, M).sum() for M in ladder]
     )
@@ -244,10 +261,14 @@ def weak_edge_membership(bands: BandStructure, edge: GapEdge, p: float) -> WeakM
 
     Estimates sup_s s * mes{k : F(k) > s}^{1/p} by level-set counting
     over a logarithmic s-grid spanning [1, resolution-limited max].  No
-    level is below 1, so only the values F > 1 of the sweep are kept.
+    level is below 1, so only the values F > 1 of the sweep are kept.  A
+    band flat at the edge makes F infinite on the whole torus: the sup is
+    infinite and the edge no member, with no sweep.
     """
     if not 0 < p < math.inf:
         raise GammaError("p must be positive and finite")
+    if _flat_at(bands, edge.value):
+        return WeakMembership(math.inf, False)
     graph = bands.graph
     d = graph.dim
     M = _WEAK_GRID.get(d, 64)

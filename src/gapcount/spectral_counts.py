@@ -19,7 +19,12 @@ replaced by a dense eigensolve and, where a solve is needed, a dense LU.
   instead when the support is smaller than two blocks, when the basis has
   no room for another block, and when 16 or more returned Ritz values
   agree within their residuals, since a block Krylov space holds at most
-  16 vectors of an eigenspace.  One partial spectrum per sign is kept and
+  16 vectors of an eigenspace.  When reversing the site order leaves H_L,
+  the support and V exactly unchanged, as it does on every box of a
+  one-vertex lattice with a potential even in n, X is exactly block
+  diagonal in the even and odd halves of the support: each half runs its
+  own Lanczos, or its own dense fallback on its half-size compression,
+  and their tails merge.  One partial spectrum per sign is kept and
   serves every narrower threshold; a wider one replaces it.
 * Direct spectral inertia: difference of eigenvalue counts below lambda
   between H_L and H_L +/- tau V, each from the factor's negative pivots.
@@ -306,6 +311,13 @@ class BSMatrix:
     dense eigenvalues stand in for that run when the support is smaller
     than two blocks, when the basis fills up, and when _BLOCK or more Ritz
     values agree within their residuals.
+
+    `sectors` is 2 when bs_matrix found H_L, the support and V^{1/2}
+    exactly unchanged by reversing the site order.  X then commutes with
+    that reversal, and the run above, fallback included, is made on the
+    even and on the odd half of the support (_Half) separately; the merged
+    tail is complete down to the threshold unless both halves went dense.
+    Otherwise `sectors` is 1 and the run covers the whole support.
     """
 
     support: np.ndarray  # site indices with V > 0
@@ -313,6 +325,7 @@ class BSMatrix:
     H: sp.csc_matrix  # H_L as checked by bs_matrix, for the direct route to reuse
     below: int  # eigenvalues of H_L below lambda
     route: str  # of the factor of H_L - lambda: "mmd", "natural" or "dense"
+    sectors: int  # 2: the even and odd halves of a reversal-invariant box; else 1
     _solve: object = field(repr=False)  # solves (H_L - lambda) Z = R
     _matrix: np.ndarray | None = field(default=None, repr=False)
     _eigenvalues: np.ndarray | None = field(default=None, repr=False)
@@ -351,14 +364,63 @@ class BSMatrix:
         return t.mu
 
     def _partial_spectrum(self, s: float, threshold: float) -> _Tail:
-        found = _lanczos_pass(lambda Y: s * self.apply(Y), self.support.size, threshold)
+        m = self.support.size
+        halves = [_Half(m, 1.0), _Half(m, -1.0)] if self.sectors == 2 else [None]
+        tails = [self._sector_tail(s, threshold, half) for half in halves]
+        mu = np.concatenate([t.mu for t in tails])
+        order = np.argsort(-mu, kind="stable")
+        err = np.concatenate([t.err for t in tails])[order]
+        return _Tail(mu[order], err, max(t.start for t in tails))
+
+    def _sector_tail(self, s: float, threshold: float, half: _Half | None) -> _Tail:
+        """The tail of s X on one half of the support, or on all of it for None."""
+        if half is None:
+            m, op = self.support.size, lambda Y: s * self.apply(Y)
+        else:
+            m, op = half.size, lambda Y: s * half.restrict(self.apply(half.lift(Y)))
+        found = _lanczos_pass(op, m, threshold)
         # A block Krylov space holds at most _BLOCK vectors of an eigenspace,
         # so a run of that many Ritz values that agree within their residuals
-        # may hide more copies: the dense X decides then, as it does when the
-        # basis has no room for a block.
-        if found is None or _longest_cluster(*found) >= _BLOCK:
-            return _Tail(s * self.eigenvalues, np.zeros(self.support.size), -math.inf)
-        return _Tail(*found, threshold)
+        # may hide more copies: the dense X, or its dense compression onto the
+        # half, decides then, as it does when the basis has no room for a block.
+        if found is not None and _longest_cluster(*found) < _BLOCK:
+            return _Tail(*found, threshold)
+        if half is None:
+            w = self.eigenvalues
+        else:
+            C = half.restrict(self.apply(half.lift(np.eye(m))))
+            w = sla.eigvalsh(0.5 * (C + C.T), driver="evd") if m else np.zeros(0)
+        return _Tail(s * w, np.zeros(m), -math.inf)
+
+
+@dataclass(frozen=True)
+class _Half:
+    """The vectors of R^m that reversing the order keeps (parity +1, the even
+    half) or negates (parity -1, the odd half), through the isometry whose
+    columns are (e_i + parity e_{m-1-i}) / sqrt 2 for i < m // 2 and, in the
+    even half of an odd m, the middle unit vector (Cantoni & Butler 1976)."""
+
+    m: int
+    parity: float
+
+    @property
+    def size(self) -> int:
+        return self.m - self.m // 2 if self.parity > 0 else self.m // 2
+
+    def lift(self, Y: np.ndarray) -> np.ndarray:
+        """The vectors of R^m whose coordinates in the half are the columns of Y."""
+        h = self.m // 2
+        out = np.zeros((self.m, Y.shape[1]))
+        out[:h] = math.sqrt(0.5) * Y[:h]
+        out[self.m - h :] = self.parity * out[:h][::-1]
+        out[h : self.size] = Y[h:]  # the middle row; none in the odd half
+        return out
+
+    def restrict(self, Z: np.ndarray) -> np.ndarray:
+        """The coordinates in the half of the projections of the columns of Z."""
+        h = self.m // 2
+        pairs = math.sqrt(0.5) * (Z[:h] + self.parity * Z[self.m - h :][::-1])
+        return np.concatenate([pairs, Z[h : self.size]])
 
 
 def _longest_cluster(theta: np.ndarray, err: np.ndarray) -> int:
@@ -485,8 +547,10 @@ def _lanczos_pass(op, m: int, threshold: float):
             r = inside[0] + 1
             moved = np.abs(theta[:r] - prev[:r])
             if np.all(moved <= _SETTLED * np.abs(theta[:r] - threshold)):
-                w, Y = sla.eigh(T, subset_by_index=[k - r, k - 1])
-                w, Y = w[::-1], Y[:, ::-1]
+                # all of T's eigenvectors by one divide-and-conquer call, which
+                # is faster than the r of them by dsyevr
+                w, Y = sla.eigh(T, driver="evd")
+                w, Y = w[k - r :][::-1], Y[:, k - r :][:, ::-1]
                 # op basis Y = basis Y diag(w) + Q B Y_last: the Lanczos residuals
                 lanczos = sla.norm(dgemm(1.0, B, Y[-b:]), axis=0)
                 if _Tail(w, lanczos, threshold).decides(threshold):
@@ -510,7 +574,15 @@ def bs_matrix(H: Matrix, V: np.ndarray, lam: float) -> BSMatrix:
     if negative != below:
         raise CountingError(f"factor of H_L - lambda has {negative} negative pivots, not {below}")
     support = np.flatnonzero(v > 0.0)
-    return BSMatrix(support, np.sqrt(v[support]), A, below, route, solve)
+    sqrtv = np.sqrt(v[support])
+    # Reversing the site order J commutes with X when it keeps H_L, the support
+    # and V exactly; X is then exactly block diagonal in the even and odd halves.
+    reversible = (
+        np.array_equal(support[::-1], A.shape[0] - 1 - support)
+        and np.array_equal(sqrtv[::-1], sqrtv)
+        and (A != A[::-1, ::-1]).nnz == 0
+    )
+    return BSMatrix(support, sqrtv, A, below, route, 2 if reversible else 1, solve)
 
 
 def counting_bs(X: BSMatrix, tau: float, sign: str) -> Count:

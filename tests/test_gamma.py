@@ -391,6 +391,47 @@ def test_rounding_floor_decides_a_ladder_at_a_lapack_band_edge():
     np.testing.assert_allclose(rep.estimates, [52.49, 54.18, 54.70, 55.02], rtol=1e-3)
 
 
+def lieb_doc(d):
+    """The Lieb lattice: a vertex at the cell corner and one at each axis-edge
+    midpoint; bands 2..d are flat at 2, the edge of the gap (2, 4)."""
+    axes = [[int(b == a) for b in range(d)] for a in range(d)]
+    vertices = [{"id": 1, "offset": [0.0] * d, "Q": 0.0}]
+    vertices += [{"id": a + 2, "offset": [0.5 * x for x in e], "Q": 0.0} for a, e in enumerate(axes)]
+    edges = []
+    for a, e in enumerate(axes):
+        edges += [{"from": 1, "to": a + 2, "cell": [0] * d}, {"from": a + 2, "to": 1, "cell": e}]
+    return {"dim": d, "vertices": vertices, "edges": edges}
+
+
+def test_a_band_flat_at_the_edge_diverges_and_is_no_weak_member(tmp_path, capsys):
+    # The flat band's values lie within the rounding floor of the sampled
+    # lower edge 2.0000000000000018, so its signed part read 0 everywhere:
+    # the ladder read 42.0/42.6/42.8/43.0 convergent and the edge a weak
+    # member with sup 148, though the integrand is infinite on the whole band.
+    graph = build_graph(lieb_doc(2))
+    bands = band_structure(graph, 64)
+    gap = find_gaps(bands)[1]
+    assert (gap.lower, gap.upper) == (2.0000000000000018, 4.0)
+    lower = gap_edge(gap, "lower", graph.nu)
+    rep = edge_integral(bands, lower, 0.5)
+    assert rep.verdict == "divergent" and np.all(rep.estimates == math.inf)
+    assert weak_edge_membership(bands, lower, 0.5) == gamma.WeakMembership(math.inf, False)
+    assert gamma_at_edge(bands, lower, 1.0, theta_const(1.0), kappa=0.5).gamma is None
+    assert edge_integral(bands, lower, 0.0).verdict == "convergent"  # kappa = 0: the integrand is 1
+    # the upper edge, with no flat band at it, keeps its ladder
+    upper = edge_integral(bands, gap_edge(gap, "upper", graph.nu), 0.5)
+    assert upper.verdict == "convergent"
+    np.testing.assert_allclose(upper.estimates, [42.01, 42.55, 42.82, 42.96], rtol=1e-3)
+    # the CLI writes the infinite estimates and sup as JSON null
+    path = tmp_path / "lieb.json"
+    path.write_text(json.dumps(lieb_doc(2)))
+    argv = ["edge-conditions", "--graph", str(path), "--grid", "64", "--gap-index", "1", "--which", "lower"]
+    assert main(argv + ["--kappa", "0.5", "--p", "0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "divergent" and doc["estimates"] == [None] * 4
+    assert doc["weak"] == {"p": 0.5, "sup": None, "member": False}
+
+
 def test_four_dimensions_fail_before_any_torus_sweep(monkeypatch, capsys):
     bands = band_structure(square_lattice(4), 4)
     edge = gap_edge(find_gaps(bands)[0], "upper", 1)

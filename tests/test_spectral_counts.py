@@ -582,12 +582,14 @@ def test_bs_partial_spectrum_small_support_both_signs():
 
 def test_bs_partial_spectrum_multiplicity_above_the_block():
     # 24 uncoupled copies of the L = 15 box: every eigenvalue of X is 24-fold,
-    # more than one block Krylov space holds, so the dense X decides.
+    # more than one block Krylov space holds.  Reversing the site order keeps
+    # the box, and splits each eigenspace into 12 even and 12 odd copies,
+    # which block Lanczos decides on each half.
     graph = square_lattice(1)
     copies = 24
     H = sp.kron(sp.identity(copies), assemble_truncated(graph, 15).matrix)
     v = np.tile(sample_potential(graph, theta_const(1.0), 1.0, 15), copies)
-    w = _bs_against_dense(H, v, -1.0, "-", (5.0,), dense=True)
+    w = _bs_against_dense(H, v, -1.0, "-", (5.0,), dense=False)
     tail = w[w < -1.0 / 5.0]
     assert tail.size == 120
     assert np.ptp(tail.reshape(-1, copies), axis=1).max() < 1e-12
@@ -630,6 +632,138 @@ def test_a_wider_threshold_replaces_the_one_tail_per_sign(monkeypatch):
         assert counting_bs(X, tau, "-") == (np.count_nonzero(w < -1.0 / tau), False)
     assert len(runs) == 2 and X._matrix is None
     assert X._tails["-"].start == 1.0 / 100.0
+
+
+# ---------------------------------------------------------------------------
+# the even and odd halves of a box that reversing the site order keeps
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_halves_are_complementary_isometries(m):
+    even, odd = sc._Half(m, 1.0), sc._Half(m, -1.0)
+    assert even.size == m - m // 2 and odd.size == m // 2
+    P = np.hstack([even.lift(np.eye(even.size)), odd.lift(np.eye(odd.size))])
+    np.testing.assert_allclose(P.T @ P, np.eye(m), atol=1e-15)  # orthogonal: the halves span R^m
+    np.testing.assert_array_equal(P[::-1, : even.size], P[:, : even.size])  # reversal keeps the even half
+    np.testing.assert_array_equal(P[::-1, even.size :], -P[:, even.size :])  # and negates the odd one
+    Z = np.random.default_rng(m).standard_normal((m, 3))
+    np.testing.assert_allclose(np.vstack([even.restrict(Z), odd.restrict(Z)]), P.T @ Z, atol=1e-15)
+
+
+def _halves_against_dense(H, v, lam, sectors):
+    """counting_bs of both signs against the dense oracle, at thresholds between
+    eigenvalues and 5e-11 inside one (boundary flag set), for X with the
+    given number of sectors; returns X."""
+    X = bs_matrix(H, v, lam)
+    assert X.sectors == sectors
+    w = bs_matrix(H, v, lam).eigenvalues
+    for sign, mu in (("+", w[::-1]), ("-", -w)):
+        j = np.flatnonzero(mu[12:-1] - mu[13:] > 1e-6)[0] + 12  # between two distinct eigenvalues
+        thresholds = [mu[5] - 5e-11, 0.5 * (mu[j] + mu[j + 1]), mu[2] - 5e-11, 1.0 / 5.0]
+        for thr in (t for t in thresholds if t > 0.0):
+            d = mu - thr
+            expected = (int(np.count_nonzero(d > 0.0)), bool(np.min(np.abs(d)) <= 1e-10))
+            assert tuple(counting_bs(X, 1.0 / thr, sign)) == expected
+    return X
+
+
+def _box(graph, L, theta=None):
+    return assemble_truncated(graph, L), sample_potential(graph, theta or theta_const(1.0), 1.0, L)
+
+
+def _square_box(d, L, theta=None):
+    return _box(square_lattice(d), L, theta)
+
+
+def _centre_free_box(L):
+    # V = 1/|n|, 0 at the centre: a support of even size 2L
+    graph = square_lattice(1)
+
+    def v(pos):
+        r = np.linalg.norm(pos, axis=1)
+        return np.where(r >= 1.0, 1.0 / np.maximum(r, 1.0), 0.0)
+
+    V = pg.potential_from_function(graph, v, L)
+    assert np.count_nonzero(V) == 2 * L
+    return assemble_truncated(graph, L), V
+
+
+@pytest.mark.parametrize(
+    "box, lam",
+    [
+        (lambda: _square_box(1, 300), -1.0),  # a support of odd size 601
+        (lambda: _centre_free_box(300), -1.0),
+        (lambda: _square_box(2, 20, pg.theta_cos2()), -1.0),
+        (lambda: _square_box(3, 6), -1.0),
+    ],
+    ids=["square1", "square1-even-support", "square2-cos2", "square3"],
+)
+def test_reversal_invariant_boxes_split_into_two_halves(box, lam):
+    H, v = box()
+    X = _halves_against_dense(H, v, lam, sectors=2)
+    assert X._matrix is None
+
+
+def test_a_tail_with_one_dense_half_is_complete_only_down_to_its_threshold(monkeypatch):
+    H, v = _square_box(1, 300)
+    w = bs_matrix(H, v, -1.0).eigenvalues
+    lanczos = sc._lanczos_pass
+    # the odd half, of 300 columns, goes dense; the even one, of 301, runs block Lanczos
+    monkeypatch.setattr(sc, "_lanczos_pass", lambda op, m, thr: None if m == 300 else lanczos(op, m, thr))
+    X = bs_matrix(H, v, -1.0)
+    for tau in (5.0, 100.0):
+        assert counting_bs(X, tau, "-") == (np.count_nonzero(w < -1.0 / tau), False)
+        assert X._tails["-"].start == 1.0 / tau
+
+
+def _nudged_square_box():
+    H, v = _square_box(1, 300)
+    v[100] = np.nextafter(v[100], np.inf)  # one ulp off the mirror image of site 500
+    return H, v
+
+
+@pytest.mark.parametrize(
+    "box, lam",
+    [
+        (lambda: _box(dimer_chain(), 150), 3.0),
+        (lambda: _honeycomb_box(10), 3.5),
+        (_nudged_square_box, -1.0),
+        # V = 1 is unchanged by reversal, but the dimer swaps its Q = 0 and Q = 2 vertices
+        (lambda: (assemble_truncated(dimer_chain(), 150), np.ones(602)), 3.0),
+    ],
+    ids=["dimer", "honeycomb", "square1-one-ulp-off", "dimer-constant-V"],
+)
+def test_boxes_that_reversal_changes_keep_one_sector(box, lam):
+    H, v = box()
+    _halves_against_dense(H, v, lam, sectors=1)
+
+
+def test_one_ulp_off_keeps_the_counts_of_the_split_box():
+    taus = (5.0, 20.0, 100.0)
+    split = bs_matrix(*_square_box(1, 300), -1.0)
+    whole = bs_matrix(*_nudged_square_box(), -1.0)
+    assert (split.sectors, whole.sectors) == (2, 1)
+    assert [counting_bs(split, t, "-") for t in taus] == [counting_bs(whole, t, "-") for t in taus]
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        lambda: _square_box(1, 20),  # halves of 21 and 20 sites: no room for a block
+        # 40 uncoupled copies of the L = 15 box: each eigenvalue of X is 40-fold,
+        # 20 copies in each half, more than a block Krylov space holds
+        lambda: (
+            sp.kron(sp.identity(40), assemble_truncated(square_lattice(1), 15).matrix),
+            np.tile(sample_potential(square_lattice(1), theta_const(1.0), 1.0, 15), 40),
+        ),
+    ],
+    ids=["small-support", "multiplicity-above-the-block-per-half"],
+)
+def test_halves_fall_back_to_their_dense_compressions(box):
+    H, v = box()
+    X = _halves_against_dense(H, v, -1.0, sectors=2)
+    # every half went dense, from its own compression, not from the dense X
+    assert X._tails["-"].start == -math.inf and X._matrix is None
 
 
 # ---------------------------------------------------------------------------
