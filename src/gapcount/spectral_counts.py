@@ -9,23 +9,23 @@ replaced by a dense eigensolve and, where a solve is needed, a dense LU.
 
 * Birman-Schwinger: eigenvalue counting for the fixed compact matrix
   X(lambda) = V^{1/2} (lambda I - H_L)^{-1} V^{1/2}, so that
-  N_+ = #{eig X > 1/tau} and N_- = #{eig X < -1/tau}.  X is applied
-  through the factor of H_L - lambda, whose negative pivots must match the
-  count of H_L below lambda.  Only the eigenvalues beyond a threshold are
-  computed, by one block Lanczos run with full reorthogonalization: the
-  basis grows by a block of 16 columns until the Ritz values down to the
-  first one inside the threshold have settled and their explicit residuals
-  decide the count and the boundary flag.  The dense formed X decides
-  instead when the support is smaller than two blocks, when the basis has
-  no room for another block, and when 16 or more returned Ritz values
-  agree within their residuals, since a block Krylov space holds at most
-  16 vectors of an eigenspace.  When reversing the site order leaves H_L,
-  the support and V exactly unchanged, as it does on every box of a
-  one-vertex lattice with a potential even in n, X is exactly block
-  diagonal in the even and odd halves of the support: each half runs its
-  own Lanczos, or its own dense fallback on its half-size compression,
-  and their tails merge.  One partial spectrum per sign is kept and
-  serves every narrower threshold; a wider one replaces it.
+  N_+ = #{eig X > 1/tau} and N_- = #{eig X < -1/tau}.  When reversing the
+  site order leaves H_L and V exactly unchanged, as it does on every box of
+  a one-vertex lattice with a potential even in n, H_L folds into an even
+  and an odd block of half the size, and X into the direct sum of their BS
+  matrices; otherwise H_L is the one block.  Each block's X_b is applied
+  through the factor of H_b - lambda, and the negative pivots of the block
+  factors must add up to the count of H_L below lambda.  Only the
+  eigenvalues beyond a threshold are computed, by one block Lanczos run
+  per block with full reorthogonalization: the basis grows by a block of
+  16 columns until the Ritz values down to the first one inside the
+  threshold have settled and their explicit residuals decide the count
+  and the boundary flag.  The dense formed X_b decides instead when its
+  support is smaller than two blocks, when the basis has no room for
+  another block, and when 16 or more returned Ritz values agree within
+  their residuals, since a block Krylov space holds at most 16 vectors of
+  an eigenspace.  The block tails merge, and one partial spectrum per sign
+  is kept and serves every narrower threshold; a wider one replaces it.
 * Direct spectral inertia: difference of eigenvalue counts below lambda
   between H_L and H_L +/- tau V, each from the factor's negative pivots.
 
@@ -228,11 +228,6 @@ def eigencount_below(A: Matrix, x: float) -> int:
     return inertia(A, x).below
 
 
-def _check_resolvent_point(A: sp.csc_matrix, lam: float) -> int:
-    """Reject lambda within 1e-8 of the spectrum of A; else #eigenvalues below it."""
-    return int(_resolvent_counts(A, [lam])[0])
-
-
 def _resolvent_counts(A: sp.csc_matrix, lams) -> np.ndarray:
     """#eigenvalues of A below each lambda, rejecting any lambda within 1e-8
     of the spectrum of A.
@@ -299,42 +294,30 @@ class _Tail:
 
 
 @dataclass
-class BSMatrix:
-    """V^{1/2} (lambda I - H_L)^{-1} V^{1/2} restricted to the V-support.
+class BSBlock:
+    """X_b = V_b^{1/2} (lambda I - H_b)^{-1} V_b^{1/2} on the support of V_b,
+    for one block H_b of H_L and its diagonal potential V_b.
 
-    X = -V^{1/2} (H_L - lambda)^{-1} V^{1/2} is applied through the trusted
-    factor of H_L - lambda that the direct route's counts also use; its
-    negative pivots must number `below`.  `matrix` and `eigenvalues` form the
-    dense X on first access; `tail` computes only the eigenvalues beyond a
-    threshold, by one block Lanczos run, and keeps one such tail per sign,
-    replaced when a threshold it cannot decide needs a new run.  The
-    dense eigenvalues stand in for that run when the support is smaller
-    than two blocks, when the basis fills up, and when _BLOCK or more Ritz
-    values agree within their residuals.
-
-    `sectors` is 2 when bs_matrix found H_L, the support and V^{1/2}
-    exactly unchanged by reversing the site order.  X then commutes with
-    that reversal, and the run above, fallback included, is made on the
-    even and on the odd half of the support (_Half) separately; the merged
-    tail is complete down to the threshold unless both halves went dense.
-    Otherwise `sectors` is 1 and the run covers the whole support.
+    X_b is applied through the trusted factor of H_b - lambda.  `matrix` and
+    `eigenvalues` form the dense X_b on first access; `tail` finds only the
+    eigenvalues beyond a threshold, by one block Lanczos run, and the dense
+    eigenvalues stand in for that run when the support is smaller than two
+    blocks, when the basis fills up, and when _BLOCK or more Ritz values
+    agree within their residuals.
     """
 
-    support: np.ndarray  # site indices with V > 0
-    sqrtv: np.ndarray  # V^{1/2} on the support
-    H: sp.csc_matrix  # H_L as checked by bs_matrix, for the direct route to reuse
-    below: int  # eigenvalues of H_L below lambda
-    route: str  # of the factor of H_L - lambda: "mmd", "natural" or "dense"
-    sectors: int  # 2: the even and odd halves of a reversal-invariant box; else 1
-    _solve: object = field(repr=False)  # solves (H_L - lambda) Z = R
+    support: np.ndarray  # indices into H_b with V_b > 0
+    sqrtv: np.ndarray  # V_b^{1/2} on the support
+    size: int  # rows of H_b
+    route: str  # of the factor of H_b - lambda: "mmd", "natural" or "dense"
+    _solve: object = field(repr=False)  # solves (H_b - lambda) Z = R
     _matrix: np.ndarray | None = field(default=None, repr=False)
     _eigenvalues: np.ndarray | None = field(default=None, repr=False)
-    _tails: dict[str, _Tail] = field(default_factory=dict, repr=False)
 
     def apply(self, Y: np.ndarray) -> np.ndarray:
-        """X @ Y for a vector or a block of columns on the support."""
+        """X_b @ Y for a vector or a block of columns on the support."""
         Y = np.asarray(Y, dtype=float)
-        rhs = np.zeros((self.H.shape[0],) + Y.shape[1:])
+        rhs = np.zeros((self.size,) + Y.shape[1:])
         rhs[self.support] = (self.sqrtv * Y.T).T
         return -(self.sqrtv * self._solve(rhs)[self.support].T).T
 
@@ -354,6 +337,43 @@ class BSMatrix:
                 self._eigenvalues = np.zeros(0)
         return self._eigenvalues
 
+    def tail(self, s: float, threshold: float) -> _Tail:
+        """The eigenvalues of s X_b (s = +/-1) down to the threshold."""
+        m = self.support.size
+        found = _lanczos_pass(lambda Y: s * self.apply(Y), m, threshold)
+        # A block Krylov space holds at most _BLOCK vectors of an eigenspace,
+        # so a run of that many Ritz values that agree within their residuals
+        # may hide more copies: the dense X_b decides then, as it does when
+        # the basis has no room for a block.
+        if found is not None and _longest_cluster(*found) < _BLOCK:
+            return _Tail(*found, threshold)
+        return _Tail(s * self.eigenvalues, np.zeros(m), -math.inf)
+
+
+@dataclass
+class BSMatrix:
+    """X = V^{1/2} (lambda I - H_L)^{-1} V^{1/2} on the V-support, as the
+    direct sum of its blocks.
+
+    When reversing the site order leaves H_L and V exactly unchanged,
+    bs_matrix folds them into an even and an odd block and X is the direct
+    sum of their BSBlocks; otherwise the one block is H_L itself.  The
+    negative pivots of the blocks' factors must number `below`, the count
+    of H_L below lambda.  `eigenvalues` is the sorted union of the block
+    spectra; `tail` merges the block tails and keeps one such tail per
+    sign, replaced when a threshold it cannot decide needs new runs.
+    """
+
+    support: np.ndarray  # site indices with V > 0
+    H: sp.csc_matrix  # H_L as checked by bs_matrix, for the direct route to reuse
+    below: int  # eigenvalues of H_L below lambda
+    blocks: list[BSBlock]  # the even and odd blocks of a reversal-invariant box; else one
+    _tails: dict[str, _Tail] = field(default_factory=dict, repr=False)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return np.sort(np.concatenate([b.eigenvalues for b in self.blocks]))
+
     def tail(self, sign: str, threshold: float) -> np.ndarray:
         """Eigenvalues of +X ('+') or -X ('-') that include every one beyond
         threshold - 1e-10, accurate enough to decide the count beyond the
@@ -364,63 +384,12 @@ class BSMatrix:
         return t.mu
 
     def _partial_spectrum(self, s: float, threshold: float) -> _Tail:
-        m = self.support.size
-        halves = [_Half(m, 1.0), _Half(m, -1.0)] if self.sectors == 2 else [None]
-        tails = [self._sector_tail(s, threshold, half) for half in halves]
+        """The block tails merged, complete down to the highest of their starts."""
+        tails = [b.tail(s, threshold) for b in self.blocks]
         mu = np.concatenate([t.mu for t in tails])
         order = np.argsort(-mu, kind="stable")
         err = np.concatenate([t.err for t in tails])[order]
         return _Tail(mu[order], err, max(t.start for t in tails))
-
-    def _sector_tail(self, s: float, threshold: float, half: _Half | None) -> _Tail:
-        """The tail of s X on one half of the support, or on all of it for None."""
-        if half is None:
-            m, op = self.support.size, lambda Y: s * self.apply(Y)
-        else:
-            m, op = half.size, lambda Y: s * half.restrict(self.apply(half.lift(Y)))
-        found = _lanczos_pass(op, m, threshold)
-        # A block Krylov space holds at most _BLOCK vectors of an eigenspace,
-        # so a run of that many Ritz values that agree within their residuals
-        # may hide more copies: the dense X, or its dense compression onto the
-        # half, decides then, as it does when the basis has no room for a block.
-        if found is not None and _longest_cluster(*found) < _BLOCK:
-            return _Tail(*found, threshold)
-        if half is None:
-            w = self.eigenvalues
-        else:
-            C = half.restrict(self.apply(half.lift(np.eye(m))))
-            w = sla.eigvalsh(0.5 * (C + C.T), driver="evd") if m else np.zeros(0)
-        return _Tail(s * w, np.zeros(m), -math.inf)
-
-
-@dataclass(frozen=True)
-class _Half:
-    """The vectors of R^m that reversing the order keeps (parity +1, the even
-    half) or negates (parity -1, the odd half), through the isometry whose
-    columns are (e_i + parity e_{m-1-i}) / sqrt 2 for i < m // 2 and, in the
-    even half of an odd m, the middle unit vector (Cantoni & Butler 1976)."""
-
-    m: int
-    parity: float
-
-    @property
-    def size(self) -> int:
-        return self.m - self.m // 2 if self.parity > 0 else self.m // 2
-
-    def lift(self, Y: np.ndarray) -> np.ndarray:
-        """The vectors of R^m whose coordinates in the half are the columns of Y."""
-        h = self.m // 2
-        out = np.zeros((self.m, Y.shape[1]))
-        out[:h] = math.sqrt(0.5) * Y[:h]
-        out[self.m - h :] = self.parity * out[:h][::-1]
-        out[h : self.size] = Y[h:]  # the middle row; none in the odd half
-        return out
-
-    def restrict(self, Z: np.ndarray) -> np.ndarray:
-        """The coordinates in the half of the projections of the columns of Z."""
-        h = self.m // 2
-        pairs = math.sqrt(0.5) * (Z[:h] + self.parity * Z[self.m - h :][::-1])
-        return np.concatenate([pairs, Z[h : self.size]])
 
 
 def _longest_cluster(theta: np.ndarray, err: np.ndarray) -> int:
@@ -565,24 +534,45 @@ def _lanczos_pass(op, m: int, threshold: float):
     return None
 
 
+def _fold(A: sp.csc_matrix, v: np.ndarray) -> list[tuple[sp.csc_matrix, np.ndarray]]:
+    """The blocks (H_b, V_b) of X: an even and an odd block when reversing the
+    site order J keeps H_L and V exactly, else H_L and V themselves.
+
+    A J-invariant H_L is block diagonal in the orthonormal basis
+    (e_i +/- e_{n-1-i}) / sqrt 2, i < n // 2, with the middle unit vector of
+    an odd n in the even block (Cantoni & Butler 1976).  The block of parity
+    s holds A[i, j] + s A[i, n-1-j], its middle row and column scaled by
+    1/sqrt 2, and the diagonal V, even under J, is v[:size] in each block.
+    """
+    n = A.shape[0]
+    if not (np.array_equal(v[::-1], v) and (A != A[::-1, ::-1]).nnz == 0):
+        return [(A, v)]
+    h = n // 2
+    blocks = []
+    for s, m in ((1.0, n - h), (-1.0, h)):
+        B = (A[:m, :m] + s * A[:m, n - 1 - np.arange(m)]).tocsc()
+        if m > h:  # the middle site, its own mirror image, came in twice
+            B.data[B.indices == h] *= math.sqrt(0.5)
+            B.data[B.indptr[h] :] *= math.sqrt(0.5)  # column h, the last
+        if m:
+            blocks.append((B, v[:m]))
+    return blocks
+
+
 def bs_matrix(H: Matrix, V: np.ndarray, lam: float) -> BSMatrix:
     """X = V^{1/2} (lambda I - H_L)^{-1} V^{1/2} on the support of V."""
     A = _symmetric_matrix(H)
     v = _potential(V, A.shape[0])
-    below = _check_resolvent_point(A, lam)
-    negative, route, solve = _factor(A, lam)
+    below = int(_resolvent_counts(A, [lam])[0])
+    blocks, negative = [], 0
+    for B, vb in _fold(A, v):
+        count, route, solve = _factor(B, lam)
+        support = np.flatnonzero(vb > 0.0)
+        blocks.append(BSBlock(support, np.sqrt(vb[support]), B.shape[0], route, solve))
+        negative += count
     if negative != below:
-        raise CountingError(f"factor of H_L - lambda has {negative} negative pivots, not {below}")
-    support = np.flatnonzero(v > 0.0)
-    sqrtv = np.sqrt(v[support])
-    # Reversing the site order J commutes with X when it keeps H_L, the support
-    # and V exactly; X is then exactly block diagonal in the even and odd halves.
-    reversible = (
-        np.array_equal(support[::-1], A.shape[0] - 1 - support)
-        and np.array_equal(sqrtv[::-1], sqrtv)
-        and (A != A[::-1, ::-1]).nnz == 0
-    )
-    return BSMatrix(support, sqrtv, A, below, route, 2 if reversible else 1, solve)
+        raise CountingError(f"factors of H_L - lambda have {negative} negative pivots, not {below}")
+    return BSMatrix(np.flatnonzero(v > 0.0), A, below, blocks)
 
 
 def counting_bs(X: BSMatrix, tau: float, sign: str) -> Count:
@@ -608,7 +598,7 @@ def counting_direct(H: Matrix, V: np.ndarray, lam: float, tau: float, sign: str)
     t = _coupling(tau, sign)
     A = _symmetric_matrix(H)
     v = _potential(V, A.shape[0])
-    value = _direct_count(A, v, lam, t, _check_resolvent_point(A, lam))
+    value = _direct_count(A, v, lam, t, int(_resolvent_counts(A, [lam])[0]))
     B = A + sp.diags(t * v)
     boundary = _inertia(B, lam - _BOUNDARY_TOL).below != _inertia(B, lam + _BOUNDARY_TOL).below
     return Count(value, boundary)

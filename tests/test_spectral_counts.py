@@ -43,7 +43,7 @@ def svals_count(A: np.ndarray, s: float) -> int:
 
 def test_scalar_bs_matrix():
     X = bs_matrix(np.array([[2.0]]), np.array([1.0]), -1.0)
-    np.testing.assert_allclose(X.matrix, [[-1.0 / 3.0]])
+    np.testing.assert_allclose(X.eigenvalues, [-1.0 / 3.0])
 
 
 def test_scalar_counting_both_routes():
@@ -72,7 +72,7 @@ def test_direct_route_flags_lambda_at_an_eigenvalue_of_the_perturbed_box():
 def test_empty_potential():
     H = np.diag([1.0, 3.0])
     X = bs_matrix(H, np.zeros(2), 2.0)
-    assert X.matrix.shape == (0, 0)
+    assert X.eigenvalues.shape == (0,)
     assert counting_bs(X, 5.0, "-").value == 0
     assert counting_direct(H, np.zeros(2), 2.0, 5.0, "+").value == 0
 
@@ -198,7 +198,7 @@ def test_edge_counting_bisects_a_ladder_around_an_eigenvalue():
     lams = default_lambda_ladder(gap, "-")
     assert lams[0] < 0.6 < lams[1]  # the eigenvalue lies inside the ladder's span
     A = sc._symmetric_matrix(H)
-    want = [sc._direct_count(A, v, lam, -3.0, sc._check_resolvent_point(A, lam)) for lam in lams]
+    want = [sc._direct_count(A, v, lam, -3.0, sc._resolvent_counts(A, [lam])[0]) for lam in lams]
     np.testing.assert_array_equal(edge_counting(H, v, gap, tau=3.0, sign="-").counts, want)
     np.testing.assert_array_equal(sc._resolvent_counts(A, lams), [1] + [2] * (lams.size - 1))
 
@@ -360,14 +360,14 @@ def test_asymptotic_table_counts_small_boxes_only_for_unsettled_taus(monkeypatch
 
 
 def test_asymptotic_table_checks_a_box_whose_tails_it_skips(monkeypatch):
-    check = sc._check_resolvent_point
+    check = sc._resolvent_counts
 
-    def reject_smallest(A, lam):
+    def reject_smallest(A, lams):
         if A.shape[0] == 2 * _BOXES[0] + 1:
-            raise CountingError(f"lambda={lam} is within 1e-8 of the spectrum")
-        return check(A, lam)
+            raise CountingError(f"lambda={lams[0]} is within 1e-8 of the spectrum")
+        return check(A, lams)
 
-    monkeypatch.setattr(sc, "_check_resolvent_point", reject_smallest)
+    monkeypatch.setattr(sc, "_resolvent_counts", reject_smallest)
     # the boxes L = 40 and 80 agree for tau = 2, so L = 10 needs no tail
     with pytest.raises(CountingError, match="within 1e-8"):
         asymptotic_table(
@@ -524,21 +524,32 @@ def test_inertia_matches_dense_count(case):
 # the matrix-free partial BS spectrum against the dense formed X
 
 
+def _dense_bs_eigenvalues(H, v, lam):
+    """The eigenvalues of S (lambda I - H_L)^{-1} S, S = V^{1/2} on the support
+    of V, by numpy from the dense H_L: an oracle that shares no code with
+    bs_matrix."""
+    A = (H.matrix if isinstance(H, pg.FiniteHamiltonian) else sp.csr_matrix(H)).toarray()
+    s = np.flatnonzero(v > 0.0)
+    X = np.sqrt(v[s])[:, None] * np.linalg.solve(lam * np.eye(A.shape[0]) - A, np.eye(A.shape[0])[:, s])[s]
+    X *= np.sqrt(v[s])[None, :]
+    return np.linalg.eigvalsh(0.5 * (X + X.T))
+
+
 def _bs_against_dense(H, v, lam, sign, taus, *, dense=False):
     """Check counting_bs against the dense oracle; `dense` says whether the
-    counts must come from the dense X (True) or from block Lanczos (False)."""
-    oracle = bs_matrix(H, v, lam)
+    counts must come from the dense X_b of every block (True) or from block
+    Lanczos (False)."""
+    w = _dense_bs_eigenvalues(H, v, lam)
     X = bs_matrix(H, v, lam)
     for tau in taus:
         thr = 1.0 / tau
-        w = oracle.eigenvalues
         expected = (
             int(np.count_nonzero(w > thr)) if sign == "+" else int(np.count_nonzero(w < -thr)),
             bool(np.min(np.abs(w - thr if sign == "+" else w + thr)) <= 1e-10),
         )
         assert tuple(counting_bs(X, tau, sign)) == expected
-    assert (X._matrix is not None) == dense  # whether the dense X was formed
-    return oracle.eigenvalues
+    assert all((b._matrix is not None) == dense for b in X.blocks)  # whether a dense X_b was formed
+    return w
 
 
 def test_bs_partial_spectrum_below_the_spectrum():
@@ -555,7 +566,7 @@ def test_bs_partial_spectrum_interior_gap_both_signs():
     H = assemble_truncated(graph, 150)
     v = sample_potential(graph, theta_const(1.0), 1.0, 150)
     lam = 3.0  # inside the interior gap (2, 4): X is indefinite
-    w = np.linalg.eigvalsh(bs_matrix(H, v, lam).matrix)
+    w = _dense_bs_eigenvalues(H, v, lam)
     assert w[0] < -0.1 and w[-1] > 0.1
     # Thresholds 5e-11 inside an eigenvalue set the boundary flag.
     neg_edge = 1.0 / (-w[3] - 5e-11)
@@ -584,7 +595,7 @@ def test_bs_partial_spectrum_multiplicity_above_the_block():
     # 24 uncoupled copies of the L = 15 box: every eigenvalue of X is 24-fold,
     # more than one block Krylov space holds.  Reversing the site order keeps
     # the box, and splits each eigenspace into 12 even and 12 odd copies,
-    # which block Lanczos decides on each half.
+    # which block Lanczos decides on each block of the fold.
     graph = square_lattice(1)
     copies = 24
     H = sp.kron(sp.identity(copies), assemble_truncated(graph, 15).matrix)
@@ -624,39 +635,27 @@ def test_a_wider_threshold_replaces_the_one_tail_per_sign(monkeypatch):
         return solve(self, *args)
 
     monkeypatch.setattr(sc.BSMatrix, "_partial_spectrum", spy)
-    w = bs_matrix(H, v, -1.0).eigenvalues  # the dense oracle
+    w = _dense_bs_eigenvalues(H, v, -1.0)
     X = bs_matrix(H, v, -1.0)
     # narrow, wide, then narrow again: the wide run replaces the first tail
     # and serves the last threshold
     for tau in (5.0, 100.0, 5.0):
         assert counting_bs(X, tau, "-") == (np.count_nonzero(w < -1.0 / tau), False)
-    assert len(runs) == 2 and X._matrix is None
+    assert len(runs) == 2 and all(b._matrix is None for b in X.blocks)
     assert X._tails["-"].start == 1.0 / 100.0
 
 
 # ---------------------------------------------------------------------------
-# the even and odd halves of a box that reversing the site order keeps
+# the even and odd blocks of a box that reversing the site order keeps
 
 
-@pytest.mark.parametrize("m", range(8))
-def test_halves_are_complementary_isometries(m):
-    even, odd = sc._Half(m, 1.0), sc._Half(m, -1.0)
-    assert even.size == m - m // 2 and odd.size == m // 2
-    P = np.hstack([even.lift(np.eye(even.size)), odd.lift(np.eye(odd.size))])
-    np.testing.assert_allclose(P.T @ P, np.eye(m), atol=1e-15)  # orthogonal: the halves span R^m
-    np.testing.assert_array_equal(P[::-1, : even.size], P[:, : even.size])  # reversal keeps the even half
-    np.testing.assert_array_equal(P[::-1, even.size :], -P[:, even.size :])  # and negates the odd one
-    Z = np.random.default_rng(m).standard_normal((m, 3))
-    np.testing.assert_allclose(np.vstack([even.restrict(Z), odd.restrict(Z)]), P.T @ Z, atol=1e-15)
-
-
-def _halves_against_dense(H, v, lam, sectors):
+def _blocks_against_dense(H, v, lam, blocks):
     """counting_bs of both signs against the dense oracle, at thresholds between
     eigenvalues and 5e-11 inside one (boundary flag set), for X with the
-    given number of sectors; returns X."""
+    given number of blocks; returns X."""
     X = bs_matrix(H, v, lam)
-    assert X.sectors == sectors
-    w = bs_matrix(H, v, lam).eigenvalues
+    assert len(X.blocks) == blocks
+    w = _dense_bs_eigenvalues(H, v, lam)
     for sign, mu in (("+", w[::-1]), ("-", -w)):
         j = np.flatnonzero(mu[12:-1] - mu[13:] > 1e-6)[0] + 12  # between two distinct eigenvalues
         thresholds = [mu[5] - 5e-11, 0.5 * (mu[j] + mu[j + 1]), mu[2] - 5e-11, 1.0 / 5.0]
@@ -688,6 +687,37 @@ def _centre_free_box(L):
     return assemble_truncated(graph, L), V
 
 
+def _copies_box(copies):
+    # uncoupled copies of the 31-site L = 15 box, reversed as a whole by J
+    H = sp.kron(sp.identity(copies), assemble_truncated(square_lattice(1), 15).matrix)
+    return H, np.tile(sample_potential(square_lattice(1), theta_const(1.0), 1.0, 15), copies)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        lambda: _square_box(1, 300),
+        lambda: _centre_free_box(300),
+        lambda: _square_box(2, 20, pg.theta_cos2()),
+        lambda: _square_box(3, 6),
+        lambda: _copies_box(24),
+    ],
+    ids=["square1", "square1-even-support", "square2-cos2", "square3", "even-sites"],
+)
+def test_the_fold_keeps_the_spectrum_and_the_inertia_of_the_box(box):
+    H, v = box()
+    A = sc._symmetric_matrix(H)
+    blocks = sc._fold(A, v)
+    n, h = A.shape[0], A.shape[0] // 2
+    assert [B.shape[0] for B, _ in blocks] == [n - h, h]
+    assert all(np.array_equal(vb, v[: B.shape[0]]) for B, vb in blocks)
+    ev = np.linalg.eigvalsh(A.toarray())
+    folded = np.sort(np.concatenate([np.linalg.eigvalsh(B.toarray()) for B, _ in blocks]))
+    np.testing.assert_allclose(folded, ev, rtol=0.0, atol=1e-12 * np.abs(ev).max())
+    below = bs_matrix(H, v, -1.0).below
+    assert sum(inertia(B, -1.0).below for B, _ in blocks) == below == dense_count(A, -1.0)
+
+
 @pytest.mark.parametrize(
     "box, lam",
     [
@@ -700,15 +730,15 @@ def _centre_free_box(L):
 )
 def test_reversal_invariant_boxes_split_into_two_halves(box, lam):
     H, v = box()
-    X = _halves_against_dense(H, v, lam, sectors=2)
-    assert X._matrix is None
+    X = _blocks_against_dense(H, v, lam, blocks=2)
+    assert all(b._matrix is None for b in X.blocks)
 
 
 def test_a_tail_with_one_dense_half_is_complete_only_down_to_its_threshold(monkeypatch):
     H, v = _square_box(1, 300)
-    w = bs_matrix(H, v, -1.0).eigenvalues
+    w = _dense_bs_eigenvalues(H, v, -1.0)
     lanczos = sc._lanczos_pass
-    # the odd half, of 300 columns, goes dense; the even one, of 301, runs block Lanczos
+    # the odd block, of 300 columns, goes dense; the even one, of 301, runs block Lanczos
     monkeypatch.setattr(sc, "_lanczos_pass", lambda op, m, thr: None if m == 300 else lanczos(op, m, thr))
     X = bs_matrix(H, v, -1.0)
     for tau in (5.0, 100.0):
@@ -735,35 +765,32 @@ def _nudged_square_box():
 )
 def test_boxes_that_reversal_changes_keep_one_sector(box, lam):
     H, v = box()
-    _halves_against_dense(H, v, lam, sectors=1)
+    _blocks_against_dense(H, v, lam, blocks=1)
 
 
 def test_one_ulp_off_keeps_the_counts_of_the_split_box():
     taus = (5.0, 20.0, 100.0)
     split = bs_matrix(*_square_box(1, 300), -1.0)
     whole = bs_matrix(*_nudged_square_box(), -1.0)
-    assert (split.sectors, whole.sectors) == (2, 1)
+    assert (len(split.blocks), len(whole.blocks)) == (2, 1)
     assert [counting_bs(split, t, "-") for t in taus] == [counting_bs(whole, t, "-") for t in taus]
 
 
 @pytest.mark.parametrize(
     "box",
     [
-        lambda: _square_box(1, 20),  # halves of 21 and 20 sites: no room for a block
+        lambda: _square_box(1, 20),  # blocks of 21 and 20 sites: no room for a Lanczos block
         # 40 uncoupled copies of the L = 15 box: each eigenvalue of X is 40-fold,
-        # 20 copies in each half, more than a block Krylov space holds
-        lambda: (
-            sp.kron(sp.identity(40), assemble_truncated(square_lattice(1), 15).matrix),
-            np.tile(sample_potential(square_lattice(1), theta_const(1.0), 1.0, 15), 40),
-        ),
+        # 20 copies in each block of the fold, more than a block Krylov space holds
+        lambda: _copies_box(40),
     ],
     ids=["small-support", "multiplicity-above-the-block-per-half"],
 )
 def test_halves_fall_back_to_their_dense_compressions(box):
     H, v = box()
-    X = _halves_against_dense(H, v, -1.0, sectors=2)
-    # every half went dense, from its own compression, not from the dense X
-    assert X._tails["-"].start == -math.inf and X._matrix is None
+    X = _blocks_against_dense(H, v, -1.0, blocks=2)
+    # every block went dense, from its own X_b
+    assert X._tails["-"].start == -math.inf and all(b._matrix is not None for b in X.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +807,7 @@ def _honeycomb_box(L: int):
 
 def test_honeycomb_bs_apply_matches_a_dense_solve():
     H, v = _honeycomb_box(20)
-    X = bs_matrix(H, v, 3.5)
+    (X,) = bs_matrix(H, v, 3.5).blocks  # reversal changes the box: one block, H_L itself
     Y = np.random.default_rng(0).standard_normal((X.support.size, 16))
     n = H.matrix.shape[0]
     rhs = np.zeros((n, 16))
@@ -815,9 +842,9 @@ def test_untrusted_factors_fall_back_to_dense(monkeypatch):
     expected = [(counting_bs(bs_matrix(H, v, 3.0), 10.0, s), counting_direct(H, v, 3.0, 10.0, s)) for s in "+-"]
     monkeypatch.setattr(sc, "_PIVOT_GROWTH", 0.0)  # no sparse factor is trusted
     X = bs_matrix(H, v, 3.0)
-    assert X.route == "dense"
+    assert [b.route for b in X.blocks] == ["dense"]
     assert [(counting_bs(X, 10.0, s), counting_direct(H, v, 3.0, 10.0, s)) for s in "+-"] == expected
-    assert X._matrix is None  # block Lanczos, not the dense X, counted
+    assert X.blocks[0]._matrix is None  # block Lanczos, not the dense X, counted
 
 
 def test_bs_matrix_rejects_a_factor_that_miscounts(monkeypatch):
