@@ -188,9 +188,19 @@ def fourier_modsq_coeffs(h: TorusFunction, M: int, max_lag: int, d: int = 1) -> 
 
 def _coeff_matrix(c: np.ndarray, points: np.ndarray, max_lag: int) -> np.ndarray:
     """Toeplitz-like matrix c[n_i - n_j] over the support points."""
-    diffs = points[:, None, :] - points[None, :, :]
-    idx = tuple(diffs[..., a] + max_lag for a in range(points.shape[1]))
+    idx = tuple(x[:, None] - x[None, :] + max_lag for x in points.T)
     return c[idx]
+
+
+def _gram_svalues(ev: np.ndarray) -> WeightedSequence:
+    """Singular values kept from a Gram's ascending eigenvalues ev."""
+    return WeightedSequence(_nonzero(np.sqrt(np.clip(ev, 0.0, None))[::-1], _GRAM_SV_TOL))
+
+
+def _lag0(c: np.ndarray) -> float | None:
+    """The lag-0 coefficient of c when every other lag's is exactly 0, else None."""
+    c0 = c[(c.shape[0] // 2,) * c.ndim]
+    return float(c0.real) if np.count_nonzero(c) == np.count_nonzero(c0) else None
 
 
 def pdo_singular_values(triple: SymbolTriple) -> SingularValueReport:
@@ -201,36 +211,48 @@ def pdo_singular_values(triple: SymbolTriple) -> SingularValueReport:
     singular values are the eigenvalues of R* (A*A) R for R = U w^{1/2}.
     When |g|^2 has no coefficient at a nonzero lag (g = 1), BB* is diagonal
     and R is diag(w^{1/2}) with w in ascending order, as eigh would give it:
-    the order decides how the graded Gram's small eigenvalues round. A matrix
-    whose imaginary parts are all exactly 0 goes to the real solver.
+    the order decides how the graded Gram's small eigenvalues round. When
+    |f|^2 has none either (f = g = 1), A*A = c^f_0 I and the squared singular
+    values are the diagonal r c^f_0 r itself, sorted, with no N x N array and
+    no eigensolve; they are the eigenvalues the dense route returns, bitwise.
+    A matrix whose imaginary parts are all exactly 0 goes to the real solver.
     """
     W = triple.W
     max_lag = 2 * W.L
     cf = fourier_modsq_coeffs(triple.f, triple.M, max_lag, W.dim)
     cg = fourier_modsq_coeffs(triple.g, triple.M, max_lag, W.dim)
-    cg0 = cg[(max_lag,) * W.dim]
-    AtA = _real_if_exact(_coeff_matrix(cf, W.points, max_lag))
-    if np.count_nonzero(cg) == np.count_nonzero(cg0):
-        w = (W.values * cg0 * np.conj(W.values)).real
-        order = np.argsort(w, kind="stable")
-        r = np.sqrt(w[order])
-        X = r[:, None] * AtA[np.ix_(order, order)] * r[None, :]
-    else:
+    cf0, cg0 = _lag0(cf), _lag0(cg)
+    if cg0 is None:
         BBt = W.values[:, None] * _coeff_matrix(cg, W.points, max_lag) * np.conj(W.values)[None, :]
         w, U = np.linalg.eigh(BBt)
         R = U * np.sqrt(np.clip(w, 0.0, None))
+        AtA = _real_if_exact(_coeff_matrix(cf, W.points, max_lag))
         X = R.conj().T @ AtA @ R
-    ev = np.clip(np.linalg.eigvalsh(_real_if_exact(X)), 0.0, None)
-    return SingularValueReport(WeightedSequence(_nonzero(np.sqrt(ev)[::-1], _GRAM_SV_TOL)))
+    else:
+        w = (W.values * cg0 * np.conj(W.values)).real
+        order = np.argsort(w, kind="stable")
+        r = np.sqrt(w[order])
+        if cf0 is not None:
+            return SingularValueReport(_gram_svalues(np.sort(r * cf0 * r)))
+        AtA = _real_if_exact(_coeff_matrix(cf, W.points, max_lag))
+        X = r[:, None] * AtA[np.ix_(order, order)] * r[None, :]
+    return SingularValueReport(_gram_svalues(np.linalg.eigvalsh(_real_if_exact(X))))
 
 
 def fphiw_singular_values(f: TorusFunction, W: LatticeSymbol, M: int) -> WeightedSequence:
-    """Singular values of the section of f Phi W from the support Gram."""
+    """Singular values of the section of f Phi W from the support Gram.
+
+    The Gram is conj(W(n)) c^f_{n-m} W(m). When |f|^2 has no coefficient at
+    a nonzero lag (f = 1) it is diagonal, and its sorted diagonal stands in
+    for the eigensolve, bitwise, with no N x N array.
+    """
     max_lag = 2 * W.L
     cf = fourier_modsq_coeffs(f, M, max_lag, W.dim)
+    cf0 = _lag0(cf)
+    if cf0 is not None:
+        return _gram_svalues(np.sort((np.conj(W.values) * cf0 * W.values).real))
     G = np.conj(W.values)[:, None] * _coeff_matrix(cf, W.points, max_lag) * W.values[None, :]
-    ev = np.clip(np.linalg.eigvalsh(_real_if_exact(G)), 0.0, None)
-    return WeightedSequence(_nonzero(np.sqrt(ev)[::-1], _GRAM_SV_TOL))
+    return _gram_svalues(np.linalg.eigvalsh(_real_if_exact(G)))
 
 
 # ---------------------------------------------------------------------------

@@ -105,8 +105,8 @@ def test_adjoint_symmetry():
     ids=["complex", "real-w-g-one", "real-w-symmetric-trig", "complex-w-g-one"],
 )
 def test_gram_matches_direct_construction(real_w, fg):
-    # g = 1 makes BB* diagonal, and f = g = 1 with a real W keeps every Gram
-    # real; trigonometric f and g take the complex eigh route
+    # g = 1 makes BB* diagonal, and f = g = 1 makes the Gram pair diagonal
+    # and takes the closed form; trigonometric f and g take the complex eigh route
     rng = np.random.default_rng(2)
     for _ in range(10):
         L, M = 8, 64
@@ -145,6 +145,111 @@ def test_gram_trim_keeps_what_a_dense_svd_resolves(f, g, d, L, kept):
     dense = dense[dense > pdo_lab._GRAM_SV_TOL * dense[0]]
     assert gram.size == dense.size == kept
     np.testing.assert_allclose(gram, dense, rtol=0.0, atol=1e-11 * dense[0])
+
+
+def _no_dense_gram(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Gram route taken")
+
+    monkeypatch.setattr(pdo_lab, "_coeff_matrix", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+
+
+@pytest.mark.parametrize("d, L", [(1, 8), (2, 3), (3, 1)])
+@pytest.mark.parametrize("real_w", [True, False], ids=["real-w", "complex-w"])
+@pytest.mark.parametrize("fg", ["one", "constant"])
+def test_diagonal_gram_route_matches_a_dense_svd(monkeypatch, d, L, real_w, fg):
+    # |f|^2 and |g|^2 with no coefficient off lag 0 make both Grams diagonal:
+    # the singular values come in closed form, with no N x N array
+    rng = np.random.default_rng([d, L, real_w])
+    pts = pdo_lab.box_cells(d, L)
+    pts = pts[rng.random(pts.shape[0]) < 0.8]
+    vals = rng.standard_normal(pts.shape[0]) + (0.0 if real_w else 1j * rng.standard_normal(pts.shape[0]))
+    W = tabulated_symbol(pts, vals, L)
+    if fg == "one":
+        f = g = torus_one()
+    else:
+        f, g = torus_trig({(0,) * d: 0.7 - 1.3j}), torus_trig({(0,) * d: -0.4 + 0.9j})
+    M = 8 * L
+    dense_pdo = direct_section_svalues(f, g, W, M)
+    # with g = 1 the section of f Phi W Phi* has the singular values of f Phi W
+    dense_fphiw = direct_section_svalues(f, torus_one(), W, M)
+    _no_dense_gram(monkeypatch)
+    gram_pdo = pdo_singular_values(SymbolTriple(f, g, W, 1.0, M)).svalues.values
+    gram_fphiw = pdo_lab.fphiw_singular_values(f, W, M).values
+    for gram, dense in ((gram_pdo, dense_pdo), (gram_fphiw, dense_fphiw)):
+        assert gram.size == W.values.size
+        np.testing.assert_allclose(gram, dense[: gram.size], rtol=0.0, atol=1e-12 * dense[0])
+        np.testing.assert_array_less(dense[gram.size :], 1e-12 * dense[0])
+
+
+def test_diagonal_gram_route_is_the_dense_eigensolve_bitwise():
+    # the closed form repeats the dense route's float operations on the
+    # diagonal, and eigvalsh of an exactly diagonal matrix is its sorted
+    # diagonal, so the outputs agree to the last bit
+    L, M = 512, 4096
+    W = homogeneous_symbol(1.0, 1.0, 1, L)
+    one = torus_one()
+    cf = fourier_modsq_coeffs(one, M, 2 * L)
+    AtA = pdo_lab._coeff_matrix(cf, W.points, 2 * L)
+    assert np.count_nonzero(AtA - np.diag(np.diag(AtA))) == 0
+    w = (W.values * cf[2 * L] * np.conj(W.values)).real
+    order = np.argsort(w, kind="stable")
+    r = np.sqrt(w[order])
+    X = r[:, None] * AtA.real[np.ix_(order, order)] * r[None, :]
+    G = np.conj(W.values)[:, None] * AtA * W.values[None, :]
+    for gram, dense in (
+        (pdo_singular_values(SymbolTriple(one, one, W, 1.0, M)).svalues.values, X),
+        (pdo_lab.fphiw_singular_values(one, W, M).values, pdo_lab._real_if_exact(G)),
+    ):
+        ev = np.clip(np.linalg.eigvalsh(dense), 0.0, None)
+        np.testing.assert_array_equal(gram, np.sqrt(ev)[::-1])
+
+
+@pytest.mark.parametrize(
+    "f, g, dense_calls",
+    [
+        (torus_trig({-1: 0.5, 0: 1.0}), torus_one(), 1),
+        (torus_exp(1), torus_one(), 1),
+        (torus_one(), torus_trig({0: 1.0, 2: 0.5}), 2),
+    ],
+    ids=["trig-g-one", "exp1-one", "one-trig"],
+)
+def test_gram_pairs_with_a_lag_off_zero_keep_the_dense_route(monkeypatch, f, g, dense_calls):
+    # |e^{ik}|^2 is 1 only to rounding on the grid, so exp:1 has FFT noise
+    # off lag 0 and keeps its dense X, like a trigonometric f
+    calls = []
+    coeff_matrix = pdo_lab._coeff_matrix
+
+    def counted(*args):
+        calls.append(1)
+        return coeff_matrix(*args)
+
+    monkeypatch.setattr(pdo_lab, "_coeff_matrix", counted)
+    W = homogeneous_symbol(1.0, 1.0, 1, 16)
+    gram = pdo_singular_values(SymbolTriple(f, g, W, 1.0, 128)).svalues.values
+    assert len(calls) == dense_calls
+    dense = direct_section_svalues(f, g, W, 128)[: gram.size]
+    np.testing.assert_allclose(gram, dense, rtol=0.0, atol=1e-8 * dense[0])
+
+
+@pytest.mark.parametrize("d, L", [(1, 4), (2, 2), (3, 1)])
+def test_coeff_matrix_indexes_lag_differences(d, L):
+    rng = np.random.default_rng(d)
+    max_lag = 2 * L
+    c = rng.standard_normal((2 * max_lag + 1,) * d)
+    pts = pdo_lab.box_cells(d, L)
+    expected = np.array([[c[tuple(a - b + max_lag)] for b in pts] for a in pts])
+    np.testing.assert_array_equal(pdo_lab._coeff_matrix(c, pts, max_lag), expected)
+
+
+def test_dp_in_two_dimensions_takes_no_dense_gram(monkeypatch):
+    # 16,640 symbol points: one real N x N array of the dense route takes 2.2 GB
+    _no_dense_gram(monkeypatch)
+    est, formula = dp_vs_formula(torus_one(), 1.0, torus_one(), 1.0, L=64, M=512, d=2)
+    assert formula == pytest.approx(np.pi, rel=1e-12)
+    assert est.inf_est <= formula <= est.sup_est
 
 
 def test_dp_half_torus_drops_gram_noise():
