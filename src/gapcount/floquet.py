@@ -12,34 +12,42 @@ z_e = e^{i k.n} per edge (j, j', n):
 arithmetic for nu = 1, by the closed form m +- hypot((a - d)/2, |b|) for
 nu = 2, by LAPACK for nu >= 3. At scattered quasimomenta (`fiber_matrix`,
 `band_values`) the phases are e^{i K.n}. On the uniform M^d torus grid,
-`torus_bands` never forms k-points: e^{i k.n} is the product over axes
-of the tables e^{i n_a k_a}, each of length M, so a block's phase is a
-broadcast product of table slices. Blocks follow the C order of
-`torus_grid`: whole trailing axes, a run of the next axis, and fixed
-indices on the leading axes, never more than _CHUNK points.
+`_sweep` never forms k-points: e^{i k.n} is the product over axes of
+the tables e^{i n_a k_a}, each of length M, so a block's phase is a
+broadcast product of table slices. Blocks follow the C order of the
+swept box, `torus_grid` for `torus_bands`: whole trailing axes, a run of
+the next axis, and fixed indices on the leading axes, never more than
+_CHUNK points.
 
-Half sweep. Edge multiplicities are integers and Q is real, so every
+Reduced sweep. Edge multiplicities are integers and Q is real, so every
 edge weight is real and h(-k) = conj h(k): each band is even,
-E_s(-k) = E_s(k). The grid -pi + 2 pi m / M maps onto itself under
-k -> -k (m -> -m mod M), so the axis-0 slice m carries the band values
-of slice -m mod M, up to rounding. Gamma's torus sums and the band
-extrema therefore read only the slices m = 0..M//2, each weighted by its
-mirror count: 1 for m = 0 and, for even M, m = M/2 (each its own
-mirror), 2 for the rest (`_half_torus_bands`). A graph with complex edge
-weights would break this symmetry.
+E_s(-k) = E_s(k). An axis a is a mirror axis when flipping n_a -> -n_a
+maps the canonical edge multiset onto itself (`_mirror_axes`); then
+h(R_a k) = h(k), R_a the flip of k_a, and each band is even in k_a
+alone. The grid -pi + 2 pi m / M maps onto itself under k_a -> -k_a
+(m -> -m mod M), so `band_structure` and Gamma's torus sums read only
+m = 0..M//2 on every mirror axis and on the first other axis (by
+k -> -k), and every index on the rest (`_fold_axes`). Each point is
+weighted by its mirror count, the product over the folded axes of 1 for
+m = 0 and, for even M, m = M/2 (each its own mirror) and 2 for the rest.
+The folded values equal the full grid's up to rounding. square:d folds
+every axis; a graph with no mirror axis, or with d = 1, folds axis 0
+alone. A graph with complex edge weights would break these symmetries.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import GapcountError
-from .periodic_graph import PeriodicGraph
+from .periodic_graph import Edge, PeriodicGraph, _canonical
 
 _CHUNK = 1 << 18
 _EPS = float(np.finfo(float).eps)
@@ -206,63 +214,115 @@ def torus_grid(dim: int, M: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _grid_blocks(dim: int, M: int, first: range) -> Iterator[tuple[range, ...]]:
-    """Per-axis index ranges of the C-order blocks of the M^dim grid, each of at most _CHUNK points.
+def _grid_blocks(M: int, dim: int, fold: Sequence[int]) -> Iterator[tuple[tuple[range, ...], np.ndarray]]:
+    """(block, w) over the C-order blocks of the box of the M^dim grid that
+    runs m = 0..M//2 on the axes in `fold` and m = 0..M-1 on the rest.
 
-    A block holds the last `whole` axes entirely, a run of the axis before
-    them, and one index on each axis before that. Axis 0 covers only the
-    indices in `first`.
+    A block is its per-axis index ranges, at most _CHUNK points: the last
+    `whole` axes entirely, a run of the axis before them, and one index on
+    each axis before that. w, broadcastable to the block, is each point's
+    mirror count: the product over the folded axes of 1 at m = 0 and, for
+    even M, m = M/2 (each its own mirror), and 2 elsewhere. A run stops
+    where its axis's count changes, at m = 1 and m = M/2, so w varies only
+    along the whole axes, and their product of counts is formed once.
     """
-    whole = 0
-    while whole < dim - 1 and M ** (whole + 1) <= _CHUNK:
+    count = np.full(M, 2.0)  # mirror count of each index: 1 where m = -m mod M
+    count[0] = 1.0
+    if M % 2 == 0:
+        count[M // 2] = 1.0
+    axes = tuple(range(M // 2 + 1) if a in fold else range(M) for a in range(dim))
+    whole, size = 0, 1
+    while whole < dim - 1 and size * len(axes[dim - 1 - whole]) <= _CHUNK:
+        size *= len(axes[dim - 1 - whole])
         whole += 1
-    run = min(M, _CHUNK // M**whole)
-    axes = (first,) + (range(M),) * (dim - 1)
-    lead, span = axes[: dim - 1 - whole], axes[dim - 1 - whole]
-    for fixed in itertools.product(*lead):
-        for start in range(span.start, span.stop, run):
-            yield tuple(range(i, i + 1) for i in fixed) + (range(start, min(start + run, span.stop)),) + (range(M),) * whole
+    cut = dim - 1 - whole  # the axis cut into runs
+    tail = math.prod(
+        (count[: M // 2 + 1].reshape((-1,) + (1,) * (dim - 1 - a)) for a in range(cut + 1, dim) if a in fold),
+        start=np.ones(()),
+    )
+    bounds = sorted({0, len(axes[cut])} | ({1, (M + 1) // 2} if cut in fold else set()))
+    run = _CHUNK // size
+    for fixed in itertools.product(*axes[:cut]):
+        lead = math.prod(count[i] for a, i in enumerate(fixed) if a in fold)
+        for lo, hi in zip(bounds, bounds[1:]):
+            w = lead * (count[lo] if cut in fold else 1.0) * tail
+            for start in range(lo, hi, run):
+                yield tuple(range(i, i + 1) for i in fixed) + (range(start, min(start + run, hi)),) + axes[cut + 1 :], w
 
 
-def torus_bands(graph: PeriodicGraph, M: int, *, _axis0: range | None = None) -> Iterator[np.ndarray]:
-    """Sorted band energies at the rows of torus_grid(graph.dim, M), in C-order blocks.
+def _mirror_axes(edges: tuple[Edge, ...], dim: int) -> tuple[int, ...]:
+    """The axes a whose flip n_a -> -n_a maps the edge multiset onto itself, each vertex fixed.
 
-    Each edge phase e^{i k.n} is the broadcast product of the per-axis
-    tables e^{i n_a k_a} indexed by the block, so no block forms k-points.
-    `_axis0` keeps only the rows whose axis-0 index it holds, for
-    `_half_torus_bands`.
+    A graph's edges are canonical and distinct; a flipped edge is
+    canonicalized again, (j, j', n) as (j', j, -n), and the multiplicities
+    are compared as integers, so the check is exact. On such an axis
+    h(R_a k) = h(k) entrywise, R_a k the flip of k_a, and every band is
+    even in k_a.
+    """
+    canonical = {(e.j, e.jp, e.cell): e.mult for e in edges}
+    mirrors = []
+    for a in range(dim):
+        flipped: Counter = Counter()
+        for (j, jp, n), mult in canonical.items():
+            flipped[_canonical(j, jp, n[:a] + (-n[a],) + n[a + 1 :])] += mult
+        if flipped == canonical:
+            mirrors.append(a)
+    return tuple(mirrors)
+
+
+@functools.lru_cache(maxsize=64)
+def _fold_axes(edges: tuple[Edge, ...], dim: int) -> tuple[int, ...]:
+    """The axes the reduced sweep folds: every mirror axis and the first other axis, by E(-k) = E(k).
+
+    Cached by edge set: every Gamma sum and ladder rung asks again.
+    """
+    mirrors = _mirror_axes(edges, dim)
+    return tuple(sorted(mirrors + tuple(a for a in range(dim) if a not in mirrors)[:1]))
+
+
+def _sweep(graph: PeriodicGraph, M: int, fold: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(w, E) over the blocks of `_grid_blocks(M, graph.dim, fold)`, w the mirror counts of the block.
+
+    E holds the sorted band energies, shape (block shape) + (nu,). Each
+    edge phase e^{i k.n} is the broadcast product of the per-axis tables
+    e^{i n_a k_a}, built once, indexed by the block, so no block forms
+    k-points.
     """
     if M < 2:
         raise EigenError("grid size must be >= 2")
-    axis = _torus_axis(M)
-    tables = [[(a, np.exp(1j * (n * axis))) for a, n in enumerate(e.cell) if n] for e in graph.edges]
-    for block in _grid_blocks(graph.dim, M, range(M) if _axis0 is None else _axis0):
-        ix = np.ix_(*block)
-        phases = [math.prod((t[ix[a]] for a, t in edge), start=1.0 + 0j) for edge in tables]
-        yield _band_energies(graph, phases, tuple(map(len, block)))
+    axis, d = _torus_axis(M), graph.dim
+    # each table shaped to broadcast along its own axis, so a block takes a view of it
+    tables = [
+        [(a, np.exp(1j * (n * axis)).reshape((M,) + (1,) * (d - 1 - a))) for a, n in enumerate(e.cell) if n]
+        for e in graph.edges
+    ]
+    for block, w in _grid_blocks(M, d, fold):
+        shape = tuple(map(len, block))
+        phases = [math.prod((t[block[a].start : block[a].stop] for a, t in edge), start=1.0 + 0j) for edge in tables]
+        yield w, _band_energies(graph, phases, shape).reshape(shape + (graph.nu,))
 
 
-def _half_torus_bands(graph: PeriodicGraph, M: int) -> Iterator[tuple[float, np.ndarray]]:
-    """(w, E) blocks over the axis-0 slices m = 0..M//2 in order, w the mirror count of every row of E.
+def torus_bands(graph: PeriodicGraph, M: int) -> Iterator[np.ndarray]:
+    """Sorted band energies at the rows of torus_grid(graph.dim, M), in C-order blocks."""
+    for _, E in _sweep(graph, M, ()):
+        yield E.reshape(-1, graph.nu)
+
+
+def _reduced_torus_bands(graph: PeriodicGraph, M: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """`_sweep` over the folded axes of the graph (see the module docstring).
 
     Summing w * f(E) over the blocks gives the sum of f(E) over the whole
-    M^d grid, and the blocks hold every band value up to rounding (see the
-    module docstring). The slices are swept in three runs of equal weight:
-    m = 0, then 0 < m < M/2, then m = M/2 for even M.
+    M^d grid, and the blocks hold every band value up to rounding.
     """
-    runs = [(1.0, range(1)), (2.0, range(1, (M + 1) // 2))]
-    if M % 2 == 0:
-        runs.append((1.0, range(M // 2, M // 2 + 1)))
-    for w, first in runs:
-        for E in torus_bands(graph, M, _axis0=first):
-            yield w, E
+    return _sweep(graph, M, _fold_axes(graph.edges, graph.dim))
 
 
 def band_structure(graph: PeriodicGraph, M: int) -> BandStructure:
-    """Per-band min and max over the M^d torus grid, taken block by block over its half sweep."""
+    """Per-band min and max over the M^d torus grid, taken block by block over its reduced sweep."""
     lo = np.full(graph.nu, np.inf)
     hi = np.full(graph.nu, -np.inf)
-    for _, E in _half_torus_bands(graph, M):
+    for _, E in _reduced_torus_bands(graph, M):
+        E = E.reshape(-1, graph.nu)
         lo = np.minimum(lo, E.min(axis=0))
         hi = np.maximum(hi, E.max(axis=0))
     return BandStructure(graph, M, np.stack([lo, hi], axis=1))

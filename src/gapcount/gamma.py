@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GapcountError
-from .floquet import BandStructure, GapEdge, _half_torus_bands, torus_bands
+from .floquet import BandStructure, GapEdge, _reduced_torus_bands, torus_bands
 from .floquet import band_values  # noqa: F401  unused; perfbench/test_perfbench.py asserts this binding
 from .periodic_graph import PeriodicGraph, ThetaProfile
 
@@ -149,19 +149,23 @@ def _band_power_sums(graph: PeriodicGraph, lam: float, power: float, sign: str, 
     """(2 pi / M)^d * sum over the grid of (lam - E_s)_{+/-}^{-power}, per band.
 
     Grid points where the signed part vanishes contribute zero. The sum
-    runs over the half sweep, each point weighted by its mirror count.
+    runs over the reduced sweep, each point weighted by its mirror count.
+    The counts are powers of 2, so a block of equal counts w sums to w
+    times its unweighted sum, bitwise.
     """
     weight = (2.0 * math.pi / M) ** graph.dim
     total = np.zeros(graph.nu)
-    for w, E in _half_torus_bands(graph, M):
+    for w, E in _reduced_torus_bands(graph, M):
         part = _signed_part(lam, E, sign)
         vanish = part == 0.0
         with np.errstate(divide="ignore"):
             np.power(part, -power, out=part)  # in place, inf where the part vanishes
         part[vanish] = 0.0
+        part *= w[..., None]
+        part = part.reshape(-1, graph.nu)
         # one band at a time: numpy's column sums of an (n, 2) array are
         # several times slower
-        total += weight * w * np.array([part[:, s].sum() for s in range(graph.nu)])
+        total += weight * np.array([part[:, s].sum() for s in range(graph.nu)])
     return total
 
 

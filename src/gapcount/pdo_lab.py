@@ -40,9 +40,16 @@ def torus_one() -> TorusFunction:
     return lambda K: np.ones(K.shape[0], dtype=complex)
 
 
+def _lag_phase(tv: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """e^{i K.t} at the rows of K, after checking that the lag t has one component per axis."""
+    if tv.size != K.shape[1]:
+        raise PdoError(f"lag {tv.astype(int).tolist()} does not have one component per axis of the {K.shape[1]}-torus")
+    return np.exp(1j * (K @ tv))
+
+
 def torus_exp(t: tuple[int, ...] | int) -> TorusFunction:
     tv = np.atleast_1d(np.asarray(t, dtype=float))
-    return lambda K: np.exp(1j * (K @ tv))
+    return lambda K: _lag_phase(tv, K)
 
 
 def torus_half_indicator() -> TorusFunction:
@@ -56,7 +63,7 @@ def torus_trig(coeffs: dict[tuple[int, ...] | int, complex]) -> TorusFunction:
     def fn(K: np.ndarray) -> np.ndarray:
         out = np.zeros(K.shape[0], dtype=complex)
         for tv, c in items:
-            out += c * np.exp(1j * (K @ tv))
+            out += c * _lag_phase(tv, K)
         return out
 
     return fn

@@ -323,6 +323,7 @@ PRECONDITION_CASES = {
     "weaklp-p-zero": ["weaklp", "--values", "good.txt", "--p", "0"],
     "pdo-coeffs-not-json": ["pdo", "--mode", "commutator", "--p", "1", "--L", "4", "--coeffs", "notjson"],
     "pdo-coeffs-bad-lag": ["pdo", "--mode", "commutator", "--p", "1", "--L", "4", "--coeffs", '{"x": 1}'],
+    "pdo-exp-lag-wrong-dimension": ["pdo", "--mode", "dp", "--p", "1", "--dim", "3", "--L", "5", "--g", "exp:1"],
     "graph-file-not-json": ["bands", "--graph", "notjson.json"],
 }
 

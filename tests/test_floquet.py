@@ -414,38 +414,94 @@ def test_touching_dimer_bands_meet_exactly_at_minus_pi():
 HONEYCOMB = SMALL_FIBER_GRAPHS["honeycomb"]
 
 
+def partial_mirror_graph():
+    """square:3 plus the self-orbit edge (1, 1, (1, 1, 0)): axis 2 alone is a mirror axis."""
+    edges = [(1, 1, (1, 0, 0)), (1, 1, (0, 1, 0)), (1, 1, (0, 0, 1)), (1, 1, (1, 1, 0))]
+    return build_graph(graph_doc(3, [(1, (0.0, 0.0, 0.0), 0.2)], edges))
+
+
 @pytest.mark.parametrize(
-    "graph, M, chunk",
+    "graph, expected, mirrors",
     [
-        # axis-0 blocks: m = 0 alone, runs of `chunk` from m = 1 cut at the
-        # half boundary, then m = M/2 alone for even M
-        (square_lattice(1), 10, 4),  # [0, 1), [1, 5), [5, 6)
-        (square_lattice(1), 9, 4),  # [0, 1), [1, 5): odd M, only m = 0 is its own mirror
-        (dimer_chain(), 11, 3),  # [0, 1), [1, 4), [4, 6)
-        (HONEYCOMB, 8, 20),  # whole slices: [0, 1), [1, 3), [3, 4), [4, 5)
-        (HONEYCOMB, 7, 21),  # [0, 1), [1, 4)
-        (diagonal_two_vertex_graph(), 9, 5),  # a slice cut into runs of 5 and 4 points of axis 1
-        (lieb_lattice(2), 6, 1 << 18),  # nu = 3 goes to LAPACK; [0, 1), [1, 3), [3, 4)
-        (square_lattice(3), 6, 10),  # axis 0 fixed per block
-        (square_lattice(3), 5, 60),  # [0, 1), [1, 3)
-        (square_lattice(3, 0.5), 8, 1 << 18),
+        (square_lattice(1), (0,), (0,)),
+        (square_lattice(2), (0, 1), (0, 1)),
+        (square_lattice(3), (0, 1, 2), (0, 1, 2)),
+        (square_lattice(3, 0.5), (0, 1, 2), (0, 1, 2)),
+        (dimer_chain(), (), (0,)),
+        (HONEYCOMB, (), (0,)),
+        (lieb_lattice(2), (), (0,)),  # a mirror only up to the shift of vertex 2 by one cell
+        (diagonal_two_vertex_graph(), (), (0,)),
+        (partial_mirror_graph(), (2,), (0, 2)),
+    ],
+    ids=["square1", "square2", "square3", "square3-Q0.5", "dimer", "honeycomb", "lieb2", "diagonal",
+         "partial-mirror"],
+)
+def test_mirror_axes(graph, expected, mirrors):
+    assert floquet._mirror_axes(graph.edges, graph.dim) == expected
+    assert floquet._fold_axes(graph.edges, graph.dim) == mirrors
+
+
+def test_an_extra_multiplicity_in_one_direction_breaks_the_mirror():
+    def mirror_axes(dim, vertices, edges):
+        graph = build_graph(graph_doc(dim, vertices, edges))
+        return floquet._mirror_axes(graph.edges, graph.dim)
+
+    # square:2 with (1, 1, (1, 1)) twice and (1, 1, (1, -1)) once: flipping
+    # either axis swaps the two diagonals, whose multiplicities differ
+    edges = [(1, 1, (1, 0)), (1, 1, (0, 1)), (1, 1, (1, 1)), (1, 1, (1, 1)), (1, 1, (1, -1))]
+    assert mirror_axes(2, [(1, (0.0, 0.0))], edges) == ()
+    # one more (1, 1, (1, -1)), entered as its reverse (1, 1, (-1, 1)), restores both mirrors
+    assert mirror_axes(2, [(1, (0.0, 0.0))], edges + [(1, 1, (-1, 1))]) == (0, 1)
+    # in a two-vertex cell the canonical form swaps the ends: (2, 1, (1,)) is (1, 2, (-1,))
+    dimer = [(1, 2, (0,)), (1, 2, (1,)), (2, 1, (1,))]
+    assert mirror_axes(1, [(1, (0.0,)), (2, (0.5,))], dimer) == (0,)
+    assert mirror_axes(1, [(1, (0.0,)), (2, (0.5,))], dimer[:2]) == ()
+
+
+@pytest.mark.parametrize(
+    "graph, M, chunk, fold",
+    [
+        # no mirror axis, or d = 1: axis 0 alone is folded, in runs of `chunk`
+        # cut at m = 1 and m = M/2, so the blocks are m = 0 alone, runs from
+        # m = 1, then m = M/2 alone for even M
+        (square_lattice(1), 10, 4, (0,)),  # [0, 1), [1, 5), [5, 6)
+        (square_lattice(1), 9, 4, (0,)),  # [0, 1), [1, 5): odd M, only m = 0 is its own mirror
+        (dimer_chain(), 11, 3, (0,)),  # [0, 1), [1, 4), [4, 6)
+        (HONEYCOMB, 8, 20, (0,)),  # whole slices: [0, 1), [1, 3), [3, 4), [4, 5)
+        (HONEYCOMB, 7, 21, (0,)),  # [0, 1), [1, 4)
+        (diagonal_two_vertex_graph(), 9, 5, (0,)),  # a slice cut into runs of 5 and 4 points of axis 1
+        (lieb_lattice(2), 6, 1 << 18, (0,)),  # nu = 3 goes to LAPACK; [0, 1), [1, 3), [3, 4)
+        # square:3 folds every axis: 4^3 points at M = 6
+        (square_lattice(3), 6, 10, (0, 1, 2)),  # axis 1 cut into [0, 1), [1, 3), [3, 4) at fixed axis 0
+        (square_lattice(3), 5, 60, (0, 1, 2)),  # axis 0 cut into [0, 1), [1, 3); counts vary along axes 1 and 2
+        (square_lattice(3, 0.5), 8, 1 << 18, (0, 1, 2)),
+        # axes 0 and 2 folded, axis 1 whole
+        (partial_mirror_graph(), 6, 30, (0, 2)),
+        (partial_mirror_graph(), 7, 1 << 18, (0, 2)),
+        (square_lattice(2, 0.3), 9, 7, (0, 1)),
+        (square_lattice(2, 0.3), 2, 1, (0, 1)),  # every point its own mirror
     ],
     ids=["square1-even", "square1-odd", "dimer-odd", "honeycomb-even", "honeycomb-odd", "diagonal-odd",
-         "lieb2", "square3-even", "square3-odd", "square3-one-block"],
+         "lieb2", "square3-even", "square3-odd", "square3-one-block", "partial-mirror-even", "partial-mirror-odd",
+         "square2-odd", "square2-M2"],
 )
-def test_half_sweep_matches_the_full_sweep(graph, M, chunk, monkeypatch):
+def test_half_sweep_matches_the_full_sweep(graph, M, chunk, fold, monkeypatch):
     monkeypatch.setattr(floquet, "_CHUNK", chunk)
+    assert floquet._fold_axes(graph.edges, graph.dim) == fold
     full = np.concatenate(list(torus_bands(graph, M)))
-    blocks = list(floquet._half_torus_bands(graph, M))
-    assert max(E.shape[0] for _, E in blocks) <= chunk
-    w = np.concatenate([np.full(E.shape[0], w) for w, E in blocks])
-    E = np.concatenate([E for _, E in blocks])
-    rows = M ** (graph.dim - 1)
-    # the slices m = 0..M//2 of axis 0, as the full sweep has them, each
-    # weighted by the number of slices m' with m' = m or m' = -m mod M
-    np.testing.assert_array_equal(E, full[: (M // 2 + 1) * rows])
-    mirrors = [1.0 if m == -m % M else 2.0 for m in range(M // 2 + 1)]
-    np.testing.assert_array_equal(w, np.repeat(mirrors, rows))
+    blocks = list(floquet._reduced_torus_bands(graph, M))
+    assert max(math.prod(E.shape[:-1]) for _, E in blocks) <= chunk
+    w = np.concatenate([np.broadcast_to(w, E.shape[:-1]).ravel() for w, E in blocks])
+    E = np.concatenate([E.reshape(-1, graph.nu) for _, E in blocks])
+    # the full sweep's rows at m = 0..M//2 on each folded axis and every m on
+    # the rest, in C order, each weighted by the product over the folded axes
+    # of the number of indices m' with m' = m or m' = -m mod M
+    index = [np.arange(M // 2 + 1) if a in fold else np.arange(M) for a in range(graph.dim)]
+    np.testing.assert_array_equal(E, full.reshape((M,) * graph.dim + (graph.nu,))[np.ix_(*index)].reshape(E.shape))
+    if fold == (0,):
+        np.testing.assert_array_equal(E, full[: (M // 2 + 1) * M ** (graph.dim - 1)])
+    mirrors = [np.where(i == -i % M, 1.0, 2.0) if a in fold else np.ones(M) for a, i in enumerate(index)]
+    np.testing.assert_array_equal(w, math.prod(np.ix_(*mirrors)).ravel())
     assert w.sum() == M**graph.dim
     lam = float(full.min()) - 1.0
     np.testing.assert_allclose(w @ (E - lam) ** -1.5, ((full - lam) ** -1.5).sum(axis=0), rtol=1e-13)

@@ -2,10 +2,14 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ellipk
 
 import gapcount.floquet as floquet
 import gapcount.gamma as gamma
@@ -57,10 +61,10 @@ def test_gamma_matches_scalar_quadrature_oracle():
 def test_gamma_rejects_dimension_4_before_its_torus_sweeps(monkeypatch):
     bands = band_structure(square_lattice(4), 4)
 
-    def no_sweep(graph, M):
+    def no_sweep(graph, M, fold):
         raise AssertionError("torus sweep ran before the dimension check")
 
-    monkeypatch.setattr(gamma, "torus_bands", no_sweep)
+    monkeypatch.setattr(floquet, "_sweep", no_sweep)
     with pytest.raises(GammaError, match="unsupported dimension d=4"):
         gamma_coefficient(bands, -1.0, 1.0, "-", theta_const(1.0))
 
@@ -311,6 +315,14 @@ def test_weak_membership_holds_no_grid():
     assert peak < 16e6
 
 
+# square:3 plus the self-orbit edge (1, 1, (1, 1, 0)): axis 2 alone is a mirror axis
+PARTIAL_MIRROR = {
+    "dim": 3,
+    "vertices": [{"id": 1, "offset": [0.0, 0.0, 0.0], "Q": 0.2}],
+    "edges": [{"from": 1, "to": 1, "cell": c} for c in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0])],
+}
+
+
 def full_grid_power_sums(graph, lam, power, sign, M):
     """The sums of _band_power_sums from every point of the full grid."""
     total = np.zeros(graph.nu)
@@ -331,11 +343,13 @@ def full_grid_power_sums(graph, lam, power, sign, M):
         (dimer_chain(), 33, 5),  # ..., [11, 16), [16, 17)
         (load_graph(HONEYCOMB), 16, 40),  # ..., [5, 7), [7, 8), [8, 9)
         (load_graph(HONEYCOMB), 15, 50),  # [0, 1), [1, 4), [4, 7), [7, 8)
-        (square_lattice(3), 12, 100),  # axis 0 fixed per block
-        (square_lattice(3), 11, 500),  # [0, 1), [1, 5), [5, 6)
+        (square_lattice(3), 12, 100),  # every axis folded: 7^3 points, axis 0 fixed per block
+        (square_lattice(3), 11, 500),  # [0, 1), [1, 6) of axis 0
+        (square_lattice(2, 0.3), 16, 40),
+        (build_graph(PARTIAL_MIRROR), 10, 100),  # axes 0 and 2 folded, axis 1 whole
     ],
     ids=["square1-even", "square1-odd", "dimer-odd", "honeycomb-even", "honeycomb-odd", "square3-even",
-         "square3-odd"],
+         "square3-odd", "square2-even", "partial-mirror"],
 )
 def test_half_sweep_sums_match_the_full_grid(graph, M, chunk, monkeypatch):
     monkeypatch.setattr(floquet, "_CHUNK", chunk)
@@ -346,6 +360,67 @@ def test_half_sweep_sums_match_the_full_grid(graph, M, chunk, monkeypatch):
     for lam, power, sign in cases:
         half = _band_power_sums(graph, lam, power, sign, M)
         np.testing.assert_allclose(half, full_grid_power_sums(graph, lam, power, sign, M), rtol=1e-13)
+
+
+@st.composite
+def mirrored_graphs(draw):
+    """Connected graphs with nu <= 3, d <= 3 and cells in {-1, 0, 1}^d, their
+    edges closed under the flips of a drawn set of axes, which are then mirror
+    axes; the others may or may not be."""
+    d = draw(st.integers(1, 3))
+    nu = draw(st.integers(1, 3))
+    cells = st.tuples(*[st.integers(-1, 1)] * d)
+    vertex = st.integers(1, nu)
+    vertices = [{"id": j, "offset": [0.0] * d, "Q": draw(st.floats(-2.0, 2.0))} for j in range(1, nu + 1)]
+    edges = [(j, j + 1, draw(cells)) for j in range(1, nu)]
+    edges += [(1, 1, tuple(int(b == a) for b in range(d))) for a in range(d)]  # the cycles e_a
+    edges += [(draw(vertex), draw(vertex), draw(cells)) for _ in range(draw(st.integers(0, 4)))]
+    flips = draw(st.sets(st.integers(0, d - 1)))
+    for a in flips:
+        edges += [(j, jp, n[:a] + (-n[a],) + n[a + 1 :]) for j, jp, n in edges]
+    doc = {"dim": d, "vertices": vertices, "edges": [{"from": j, "to": jp, "cell": list(n)} for j, jp, n in edges]}
+    return build_graph(doc), flips
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=mirrored_graphs(), data=st.data())
+def test_reduced_sweep_sums_and_extrema_equal_the_full_sweeps(case, data):
+    graph, flips = case
+    assert flips <= set(floquet._mirror_axes(graph.edges, graph.dim))
+    M = data.draw(st.integers(2, 9 if graph.dim < 3 else 6))
+    chunk = data.draw(st.integers(1, M**graph.dim))
+    with mock.patch.object(floquet, "_CHUNK", chunk):
+        full = np.concatenate(list(torus_bands(graph, M)))
+        extrema = band_structure(graph, M).band_extrema
+        for lam, power, sign in [(float(full.min()) - 0.5, 1.5, "-"), (float(full.max()) + 0.5, 1.0, "+")]:
+            sums = _band_power_sums(graph, lam, power, sign, M)
+            np.testing.assert_allclose(sums, full_grid_power_sums(graph, lam, power, sign, M), rtol=1e-13)
+    atol = 4.0 * np.finfo(float).eps * float(np.abs(full).max())
+    np.testing.assert_allclose(extrema, np.stack([full.min(axis=0), full.max(axis=0)], axis=1), rtol=0.0, atol=atol)
+
+
+def test_square2_gamma_equals_the_lattice_greens_function():
+    # Gamma_1^-(lam) = pi G_2(4 - lam) on square:2 with theta = 1, where
+    # G_2(z) = (2 / (pi z)) K(16 / z^2), K the complete elliptic integral of
+    # the first kind in scipy's parameter convention (Economou, Green's
+    # Functions in Quantum Physics)
+    z = 4.0 - (-1.0)
+    exact = math.pi * 2.0 / (math.pi * z) * float(ellipk(16.0 / z**2))
+    res = gamma_coefficient(band_structure(square_lattice(2), 64), -1.0, 1.0, "-", theta_const(1.0))
+    assert res.grids == (64, 128)
+    assert res.value == pytest.approx(exact, rel=1e-15)
+
+
+def test_square3_edge_ladder_equals_a_plain_full_grid_sum():
+    bands = band_structure(square_lattice(3), 32)
+    edge = gap_edge(find_gaps(bands)[0], "upper", 1)
+    assert (edge.value, edge.sign) == (0.0, "-")
+    rep = edge_integral(bands, edge, 1.0, (32, 64))
+    for M, estimate in zip(rep.grids, rep.estimates):
+        # 1 / E over the grid, E = 6 - 2 sum_a cos k_a, the point E = 0 dropped
+        E = 6.0 - 2.0 * np.cos(torus_grid(3, M)).sum(axis=1)
+        plain = float((1.0 / E[E > 16.0 * np.finfo(float).eps]).sum()) * (2.0 * math.pi / M) ** 3
+        assert estimate == pytest.approx(plain, rel=1e-13)
 
 
 def test_signed_part_takes_a_rounding_level_difference_as_zero():
@@ -436,14 +511,13 @@ def test_four_dimensions_fail_before_any_torus_sweep(monkeypatch, capsys):
     bands = band_structure(square_lattice(4), 4)
     edge = gap_edge(find_gaps(bands)[0], "upper", 1)
     calls = []
-    sweep = floquet.torus_bands
+    sweep = floquet._sweep
 
-    def spy(graph, M, **kwargs):
+    def spy(graph, M, fold):
         calls.append(M)
-        return sweep(graph, M, **kwargs)
+        return sweep(graph, M, fold)
 
-    monkeypatch.setattr(floquet, "torus_bands", spy)
-    monkeypatch.setattr(gamma, "torus_bands", spy)
+    monkeypatch.setattr(floquet, "_sweep", spy)  # under torus_bands and the reduced sweep alike
     assert main(["gamma", "--graph", "square:4", "--lambda", "-1", "--p", "1", "--sign", "minus"]) == 2
     assert "unsupported dimension d=4" in capsys.readouterr().err
     with pytest.raises(GammaError, match="unsupported dimension d=4"):
@@ -451,5 +525,5 @@ def test_four_dimensions_fail_before_any_torus_sweep(monkeypatch, capsys):
     with pytest.raises(GammaError, match="unsupported dimension d=4"):
         asymptotic_table(square_lattice(4), theta_const(1.0), 1.0, -1.0, "-", [1.0], [10])
     assert calls == []
-    band_structure(square_lattice(1), 8)  # the spy does see the half sweep
+    band_structure(square_lattice(1), 8)  # the spy does see the reduced sweep
     assert calls and set(calls) == {8}

@@ -353,6 +353,14 @@ def test_dp_formula_half_torus():
     assert formula == pytest.approx(1.0, rel=1e-2)
 
 
+def test_a_lag_of_the_wrong_length_is_a_pdo_error():
+    # a one-component lag on the 3-torus, as `--g exp:1 --dim 3` builds it
+    with pytest.raises(PdoError, match=r"lag \[1\] does not have one component per axis of the 3-torus"):
+        dp_vs_formula(torus_one(), 1.0, torus_exp(1), 1.0, 2, 16, d=3)
+    with pytest.raises(PdoError, match=r"lag \[1, 2\] does not have one component per axis of the 1-torus"):
+        cwikel_ratio(torus_trig({(1, 2): 1.0}), homogeneous_symbol(1.0, 1.0, 1, 4), 1.0, 2.0, 4, 32)
+
+
 def test_tabulated_symbol_one_dimensional_points():
     W = tabulated_symbol(np.array([0, 1, 2]), np.array([1.0, 2.0, 3.0]), 4)
     assert W.points.shape == (3, 1) and W.dim == 1
