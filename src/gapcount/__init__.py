@@ -13,7 +13,6 @@ from .floquet import (
     fiber_matrix,
     find_gaps,
     gap_edge,
-    hermitian_eigen,
     torus_grid,
 )
 from .gamma import (

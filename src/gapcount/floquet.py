@@ -62,7 +62,7 @@ _MAX_EXTREMIZERS = 64
 
 
 class EigenError(GapcountError):
-    """Input violates the contract of the fiber, band or eigensolver routines."""
+    """Input violates the contract of the fiber, band or gap routines."""
 
 
 @dataclass(frozen=True)
@@ -176,18 +176,6 @@ def _band_energies(graph: PeriodicGraph, phases: Sequence[np.ndarray], shape: tu
     E = np.empty(shape + (2,))
     E[..., 0], E[..., 1] = _pair_eigvals(diag[0], diag[1], b)
     return E.reshape(-1, 2)
-
-
-def hermitian_eigen(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues ascending and orthonormal eigenvectors of a Hermitian matrix."""
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise EigenError("expected a square matrix")
-    scale = np.linalg.norm(M)
-    if np.linalg.norm(M - M.conj().T) > 1e-12 * max(scale, 1e-300):
-        raise EigenError("matrix is not Hermitian within 1e-12 relative tolerance")
-    w, v = np.linalg.eigh(M)
-    return w, v
 
 
 def band_values(graph: PeriodicGraph, K: np.ndarray) -> np.ndarray:

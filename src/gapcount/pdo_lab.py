@@ -174,14 +174,15 @@ def fourier_modsq_coeffs(h: TorusFunction, M: int, max_lag: int, d: int = 1) -> 
 
     Returned as an array of shape (2*max_lag+1,)*d, centered indexing
     c[r + max_lag].  Requires max_lag <= M/4 as an anti-aliasing margin.
-    A constant |h|^2 (every grid sample equal) has the exact coefficients
-    F at lag 0 and 0 elsewhere, which the FFT would only reach to rounding.
+    A |h|^2 whose grid samples all lie within 4 eps F[0] of the first, F[0]
+    (|e^{ik.t}|^2 is 1 only to rounding), gets the exact coefficients F[0]
+    at lag 0 and 0 elsewhere, which the FFT would only reach to rounding.
     """
     if max_lag > M // 4:
         raise PdoError(f"max_lag={max_lag} violates the aliasing margin M/4={M // 4}")
     K = torus_grid(d, M)
     F = np.abs(np.asarray(h(K), dtype=complex)) ** 2
-    if np.all(F == F[0]):
+    if np.all(np.abs(F - F[0]) <= 4.0 * np.finfo(float).eps * F[0]):
         c = np.zeros((2 * max_lag + 1,) * d, dtype=complex)
         c[(max_lag,) * d] = F[0]
         return c

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import gapcount.floquet as floquet
 from gapcount.cli import main
 from gapcount.floquet import (
-    EigenError,
     GapEdge,
     band_structure,
     band_values,
@@ -21,7 +20,6 @@ from gapcount.floquet import (
     fiber_matrix,
     find_gaps,
     gap_edge,
-    hermitian_eigen,
     torus_bands,
     torus_grid,
 )
@@ -51,22 +49,6 @@ def test_fiber_dimer_at_zero():
     h = fiber_matrix(dimer_chain(), [0.0])
     np.testing.assert_allclose(h.real, [[2.0, -2.0], [-2.0, 4.0]], atol=1e-15)
     np.testing.assert_allclose(h.imag, 0.0, atol=1e-15)
-
-
-def test_hermitian_eigen_diagonal():
-    w, v = hermitian_eigen(np.diag([3.0, 1.0]))
-    np.testing.assert_allclose(w, [1.0, 3.0])
-    np.testing.assert_allclose(np.abs(v), np.eye(2)[:, ::-1])
-
-
-def test_hermitian_eigen_dimer_fiber():
-    w, _ = hermitian_eigen(np.array([[2.0, -2.0], [-2.0, 4.0]]))
-    np.testing.assert_allclose(w, [3.0 - math.sqrt(5.0), 3.0 + math.sqrt(5.0)])
-
-
-def test_non_hermitian_rejected():
-    with pytest.raises(EigenError):
-        hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_band_evenness_and_sorting():

@@ -211,14 +211,14 @@ def test_diagonal_gram_route_is_the_dense_eigensolve_bitwise():
     "f, g, dense_calls",
     [
         (torus_trig({-1: 0.5, 0: 1.0}), torus_one(), 1),
-        (torus_exp(1), torus_one(), 1),
+        (torus_exp(1), torus_one(), 0),
         (torus_one(), torus_trig({0: 1.0, 2: 0.5}), 2),
     ],
     ids=["trig-g-one", "exp1-one", "one-trig"],
 )
 def test_gram_pairs_with_a_lag_off_zero_keep_the_dense_route(monkeypatch, f, g, dense_calls):
-    # |e^{ik}|^2 is 1 only to rounding on the grid, so exp:1 has FFT noise
-    # off lag 0 and keeps its dense X, like a trigonometric f
+    # a trigonometric f or g keeps its dense Gram; exp:1, whose |e^{ik}|^2 is
+    # 1 only to rounding on the grid, is the control: lag 0 only, no dense Gram
     calls = []
     coeff_matrix = pdo_lab._coeff_matrix
 
@@ -339,6 +339,18 @@ def test_dp_window_of_the_multiplication_case_is_exact_at_every_box():
         est, formula = dp_vs_formula(torus_one(), 1.0, torus_one(), 1.0, L, 8 * L)
         if max(abs(est.inf_est - 2.0), abs(est.sup_est - 2.0), abs(formula - 2.0)) > 1e-12:
             off.append((L, est.inf_est, est.sup_est))
+    assert off == []
+
+
+def test_dp_window_of_exp_lags_is_exact_at_every_box():
+    # |e^{ik.t}|^2 is 1 only to rounding on the grid; taken as the constant 1,
+    # the ties |W(n)| = |W(-n)| stay exact pairs, as with f = g = one
+    off = []
+    for f, g in ((torus_exp(1), torus_one()), (torus_one(), torus_exp(1)), (torus_exp(3), torus_exp(-2))):
+        for L in range(5, 200):
+            est, formula = dp_vs_formula(f, 1.0, g, 1.0, L, 8 * L)
+            if max(abs(est.inf_est - 2.0), abs(est.sup_est - 2.0), abs(formula - 2.0)) > 1e-12:
+                off.append((L, est.inf_est, est.sup_est))
     assert off == []
 
 
