@@ -14,10 +14,11 @@ nu = 2, by LAPACK for nu >= 3. At scattered quasimomenta (`fiber_matrix`,
 `band_values`) the phases are e^{i K.n}. On the uniform M^d torus grid,
 `_sweep` never forms k-points: e^{i k.n} is the product over axes of
 the tables e^{i n_a k_a}, each of length M, so a block's phase is a
-broadcast product of table slices. Blocks follow the C order of the
-swept box, `torus_grid` for `torus_bands`: whole trailing axes, a run of
-the next axis, and fixed indices on the leading axes, never more than
-_CHUNK points.
+broadcast product of table slices. Blocks are boxes of index ranges,
+never more than _CHUNK points, so a block's float arrays stay in a
+per-core L2 cache; they follow the C order of the swept box, `torus_grid`
+for `torus_bands`: whole trailing axes, a run of the next axis, and fixed
+indices on the leading axes.
 
 Reduced sweep. Edge multiplicities are integers and Q is real, so every
 edge weight is real and h(-k) = conj h(k): each band is even,
@@ -30,9 +31,23 @@ m = 0..M//2 on every mirror axis and on the first other axis (by
 k -> -k), and every index on the rest (`_fold_axes`). Each point is
 weighted by its mirror count, the product over the folded axes of 1 for
 m = 0 and, for even M, m = M/2 (each its own mirror) and 2 for the rest.
+
+Mirror axes that swap. When swapping n_a <-> n_b also maps the edge
+multiset onto itself for any two axes of a class of mirror axes
+(`_swap_class`), h(P k) = h(k) for every permutation P of the class, and
+the folded box maps onto itself under P. The sweep then keeps the points
+where the class's first axis holds the class minimum, each weighted by
+its mirror count times |class| / (the number of class entries at that
+minimum): one slab per index of the first class axis, until the points
+left form a box of one block (`_grid_blocks`). On square:3 the weights
+are 3, 3/2 or 1 on top of the mirror counts, and at M = 256 the sweep
+holds 765,765 points instead of the folded box's 129^3 = 2,146,689.
+square:2 fits its whole folded box in one block up to M = 511.
+
 The folded values equal the full grid's up to rounding. square:d folds
-every axis; a graph with no mirror axis, or with d = 1, folds axis 0
-alone. A graph with complex edge weights would break these symmetries.
+every axis and swaps them all; a graph with no mirror axis, or with
+d = 1, folds axis 0 alone and swaps none. A graph with complex edge
+weights would break these symmetries.
 """
 
 from __future__ import annotations
@@ -49,7 +64,11 @@ import numpy as np
 from .errors import GapcountError
 from .periodic_graph import Edge, PeriodicGraph, _canonical
 
-_CHUNK = 1 << 18
+# Points per sweep block. A block's float arrays (512 KB each) then stay in a
+# 2 MB per-core L2 cache: on a 2-vCPU Xeon host, 2^16 ran the bands-3d sweeps
+# faster than 2^18 did, 2^15 was no faster, and at 2^14 a d = 3 block of the
+# unswapped sweeps is a single grid line and its per-block cost shows.
+_CHUNK = 1 << 16
 _EPS = float(np.finfo(float).eps)
 
 # check_edge_regularity: coarse search grid per axis, finite-difference step
@@ -202,60 +221,114 @@ def torus_grid(dim: int, M: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _grid_blocks(M: int, dim: int, fold: Sequence[int]) -> Iterator[tuple[tuple[range, ...], np.ndarray]]:
-    """(block, w) over the C-order blocks of the box of the M^dim grid that
-    runs m = 0..M//2 on the axes in `fold` and m = 0..M-1 on the rest.
+def _grid_blocks(
+    M: int, dim: int, fold: Sequence[int], swap: Sequence[int] = ()
+) -> Iterator[tuple[tuple[range, ...], np.ndarray]]:
+    """(block, w) over the blocks of the reduced sweep of the M^dim grid.
 
-    A block is its per-axis index ranges, at most _CHUNK points: the last
-    `whole` axes entirely, a run of the axis before them, and one index on
-    each axis before that. w, broadcastable to the block, is each point's
-    mirror count: the product over the folded axes of 1 at m = 0 and, for
-    even M, m = M/2 (each its own mirror), and 2 elsewhere. A run stops
-    where its axis's count changes, at m = 1 and m = M/2, so w varies only
-    along the whole axes, and their product of counts is formed once.
+    The swept box runs m = 0..M//2 on the axes in `fold` and m = 0..M-1 on
+    the rest. A block is its per-axis index ranges, at most _CHUNK points.
+    w, broadcastable to the block, is each point's weight, its mirror count
+    at least: the product over the folded axes of 1 at m = 0 and, for even
+    M, m = M/2 (each its own mirror), and 2 elsewhere.
+
+    With no swap class (fewer than two axes in `swap`) the blocks follow
+    the C order of the box (`_box_blocks`). A class, its axes all in
+    `fold`, cuts the box to the points where swap[0] holds the class
+    minimum: one rectangular slab per index i of swap[0], the other class
+    axes running i..M//2, cut into blocks in its own C order. A slab
+    point's weight is its mirror count times |class| / (the number of class
+    entries equal to i). The points whose class indices are all >= i0 form
+    a box that the swaps map onto itself, so the slabs stop at i0 and that
+    box is swept whole, at mirror counts alone. i0 is the first index where
+    it fits one block: the slabs past it are small, and there a block's
+    fixed cost outweighs the points the fold saves.
     """
     count = np.full(M, 2.0)  # mirror count of each index: 1 where m = -m mod M
     count[0] = 1.0
     if M % 2 == 0:
         count[M // 2] = 1.0
-    axes = tuple(range(M // 2 + 1) if a in fold else range(M) for a in range(dim))
+    half = M // 2 + 1
+    box = tuple(range(half) if a in fold else range(M) for a in range(dim))
+    slabs = 0
+    if len(swap) > 1:
+        # i0 of the docstring, the number of slabs
+        rest = math.prod(len(r) for a, r in enumerate(box) if a not in swap)
+        slabs = next(i for i in range(half + 1) if (half - i) ** len(swap) * rest <= _CHUNK)
+        along = [[half if b == a else 1 for b in range(dim)] for a in range(dim)]
+        # the mirror counts of the folded axes after swap[0], by index m
+        counts = math.prod((count[:half].reshape(along[a]) for a in fold if a != swap[0]), start=np.ones(()))
+        # the class share times the count of swap[0] (1 or 2), by m - i on the class axes after the first
+        ties = sum(np.arange(half).reshape(along[c]) == 0 for c in swap[1:])
+        shares = {c: c * len(swap) / (1.0 + ties) for c in (1.0, 2.0)}
+
+    def on_class(s: slice) -> tuple[slice, ...]:  # s on the class axes after the first, all else whole
+        return tuple(s if a in swap[1:] else slice(None) for a in range(dim))
+
+    for i in range(slabs):
+        slab = tuple(range(i, i + 1) if a == swap[0] else range(i, half) if a in swap else r for a, r in enumerate(box))
+        w = counts[on_class(slice(i, half))] * shares[count[i]][on_class(slice(half - i))]
+        for block, _ in _box_blocks(slab, count, ()):
+            yield block, w[tuple(slice(r.start - s.start, r.stop - s.start) if n > 1 else slice(None)
+                                 for r, s, n in zip(block, slab, w.shape))]
+    if slabs < half:
+        yield from _box_blocks(tuple(range(slabs, half) if a in swap else r for a, r in enumerate(box)), count, fold)
+
+
+def _box_blocks(
+    box: tuple[range, ...], count: np.ndarray, fold: Sequence[int]
+) -> Iterator[tuple[tuple[range, ...], np.ndarray]]:
+    """(block, mirror counts) over the C-order blocks of a box of index ranges.
+
+    A block holds the last `whole` axes entirely, a run of the axis before
+    them, and one index on each axis before that. A run stops where its
+    axis's count changes, at m = 1 and m = M/2, so the counts vary only
+    along the whole axes, and their product is formed once.
+    """
+    dim, M = len(box), count.size
     whole, size = 0, 1
-    while whole < dim - 1 and size * len(axes[dim - 1 - whole]) <= _CHUNK:
-        size *= len(axes[dim - 1 - whole])
+    while whole < dim - 1 and size * len(box[dim - 1 - whole]) <= _CHUNK:
+        size *= len(box[dim - 1 - whole])
         whole += 1
     cut = dim - 1 - whole  # the axis cut into runs
     tail = math.prod(
-        (count[: M // 2 + 1].reshape((-1,) + (1,) * (dim - 1 - a)) for a in range(cut + 1, dim) if a in fold),
+        (count[box[a].start : box[a].stop].reshape((-1,) + (1,) * (dim - 1 - a)) for a in range(cut + 1, dim)
+         if a in fold),
         start=np.ones(()),
     )
-    bounds = sorted({0, len(axes[cut])} | ({1, (M + 1) // 2} if cut in fold else set()))
+    span = box[cut]
+    steps = {1, (M + 1) // 2} if cut in fold else set()
+    bounds = sorted({span.start, span.stop} | {b for b in steps if span.start < b < span.stop})
     run = _CHUNK // size
-    for fixed in itertools.product(*axes[:cut]):
+    for fixed in itertools.product(*box[:cut]):
         lead = math.prod(count[i] for a, i in enumerate(fixed) if a in fold)
         for lo, hi in zip(bounds, bounds[1:]):
             w = lead * (count[lo] if cut in fold else 1.0) * tail
             for start in range(lo, hi, run):
-                yield tuple(range(i, i + 1) for i in fixed) + (range(start, min(start + run, hi)),) + axes[cut + 1 :], w
+                yield tuple(range(i, i + 1) for i in fixed) + (range(start, min(start + run, hi)),) + box[cut + 1 :], w
+
+
+def _maps_onto_itself(edges: tuple[Edge, ...], move: Callable[[tuple[int, ...]], tuple[int, ...]]) -> bool:
+    """Whether moving each edge's cell n to move(n), each vertex fixed, maps the edge multiset onto itself.
+
+    A graph's edges are canonical and distinct; a moved edge is
+    canonicalized again, (j, j', n) as (j', j, -n), and the multiplicities
+    are compared as integers, so the check is exact.
+    """
+    canonical = {(e.j, e.jp, e.cell): e.mult for e in edges}
+    moved: Counter = Counter()
+    for (j, jp, n), mult in canonical.items():
+        moved[_canonical(j, jp, move(n))] += mult
+    return moved == canonical
 
 
 def _mirror_axes(edges: tuple[Edge, ...], dim: int) -> tuple[int, ...]:
     """The axes a whose flip n_a -> -n_a maps the edge multiset onto itself, each vertex fixed.
 
-    A graph's edges are canonical and distinct; a flipped edge is
-    canonicalized again, (j, j', n) as (j', j, -n), and the multiplicities
-    are compared as integers, so the check is exact. On such an axis
-    h(R_a k) = h(k) entrywise, R_a k the flip of k_a, and every band is
-    even in k_a.
+    On such an axis h(R_a k) = h(k) entrywise, R_a k the flip of k_a, and
+    every band is even in k_a.
     """
-    canonical = {(e.j, e.jp, e.cell): e.mult for e in edges}
-    mirrors = []
-    for a in range(dim):
-        flipped: Counter = Counter()
-        for (j, jp, n), mult in canonical.items():
-            flipped[_canonical(j, jp, n[:a] + (-n[a],) + n[a + 1 :])] += mult
-        if flipped == canonical:
-            mirrors.append(a)
-    return tuple(mirrors)
+    return tuple(a for a in range(dim) if _maps_onto_itself(edges, lambda n: n[:a] + (-n[a],) + n[a + 1 :]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -268,8 +341,37 @@ def _fold_axes(edges: tuple[Edge, ...], dim: int) -> tuple[int, ...]:
     return tuple(sorted(mirrors + tuple(a for a in range(dim) if a not in mirrors)[:1]))
 
 
-def _sweep(graph: PeriodicGraph, M: int, fold: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(w, E) over the blocks of `_grid_blocks(M, graph.dim, fold)`, w the mirror counts of the block.
+@functools.lru_cache(maxsize=64)
+def _swap_class(edges: tuple[Edge, ...], dim: int) -> tuple[int, ...]:
+    """The largest class of two or more mirror axes, any two of which swap
+    n_a <-> n_b to map the edge multiset onto itself, each vertex fixed; ()
+    when no two mirror axes swap.
+
+    Swaps that map the edges onto themselves form a group, so an axis
+    joins a class when it swaps with the class's first axis. On a class,
+    h(P k) = h(k) for every permutation P of its axes, and every band is
+    symmetric in them. Cached by edge set, as `_fold_axes` is.
+    """
+
+    def swaps(a: int, b: int) -> bool:
+        return _maps_onto_itself(edges, lambda n: tuple(n[{a: b, b: a}.get(c, c)] for c in range(dim)))
+
+    classes: list[list[int]] = []
+    for a in _mirror_axes(edges, dim):
+        for c in classes:
+            if swaps(c[0], a):
+                c.append(a)
+                break
+        else:
+            classes.append([a])
+    largest = max(classes, key=len, default=[])
+    return tuple(largest) if len(largest) > 1 else ()
+
+
+def _sweep(
+    graph: PeriodicGraph, M: int, fold: Sequence[int], swap: Sequence[int] = ()
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(w, E) over the blocks of `_grid_blocks(M, graph.dim, fold, swap)`, w the weights of the block.
 
     E holds the sorted band energies, shape (block shape) + (nu,). Each
     edge phase e^{i k.n} is the broadcast product of the per-axis tables
@@ -284,7 +386,7 @@ def _sweep(graph: PeriodicGraph, M: int, fold: Sequence[int]) -> Iterator[tuple[
         [(a, np.exp(1j * (n * axis)).reshape((M,) + (1,) * (d - 1 - a))) for a, n in enumerate(e.cell) if n]
         for e in graph.edges
     ]
-    for block, w in _grid_blocks(M, d, fold):
+    for block, w in _grid_blocks(M, d, fold, swap):
         shape = tuple(map(len, block))
         phases = [math.prod((t[block[a].start : block[a].stop] for a, t in edge), start=1.0 + 0j) for edge in tables]
         yield w, _band_energies(graph, phases, shape).reshape(shape + (graph.nu,))
@@ -297,12 +399,12 @@ def torus_bands(graph: PeriodicGraph, M: int) -> Iterator[np.ndarray]:
 
 
 def _reduced_torus_bands(graph: PeriodicGraph, M: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """`_sweep` over the folded axes of the graph (see the module docstring).
+    """`_sweep` over the folded axes and the swap class of the graph (see the module docstring).
 
     Summing w * f(E) over the blocks gives the sum of f(E) over the whole
     M^d grid, and the blocks hold every band value up to rounding.
     """
-    return _sweep(graph, M, _fold_axes(graph.edges, graph.dim))
+    return _sweep(graph, M, _fold_axes(graph.edges, graph.dim), _swap_class(graph.edges, graph.dim))
 
 
 def band_structure(graph: PeriodicGraph, M: int) -> BandStructure:

@@ -149,9 +149,10 @@ def _band_power_sums(graph: PeriodicGraph, lam: float, power: float, sign: str, 
     """(2 pi / M)^d * sum over the grid of (lam - E_s)_{+/-}^{-power}, per band.
 
     Grid points where the signed part vanishes contribute zero. The sum
-    runs over the reduced sweep, each point weighted by its mirror count.
-    The counts are powers of 2, so a block of equal counts w sums to w
-    times its unweighted sum, bitwise.
+    runs over the reduced sweep, each point weighted by its mirror count
+    and, on the axes that swap, its class share (see `floquet`). The
+    shares 3 and 3/2 are not powers of 2, so the sum equals the full
+    grid's to rounding, not bitwise.
     """
     weight = (2.0 * math.pi / M) ** graph.dim
     total = np.zeros(graph.nu)

@@ -440,51 +440,111 @@ def test_an_extra_multiplicity_in_one_direction_breaks_the_mirror():
     assert mirror_axes(1, [(1, (0.0,)), (2, (0.5,))], dimer[:2]) == ()
 
 
+def square3_graph(extra=(), mult=(1, 1, 1)):
+    """square:3 with `mult` copies of each axis cycle, plus extra self-orbit edges."""
+    axes = [tuple(int(b == a) for b in range(3)) for a in range(3)]
+    edges = [(1, 1, n) for n, k in zip(axes, mult) for _ in range(k)] + [(1, 1, n) for n in extra]
+    return build_graph(graph_doc(3, [(1, (0.0, 0.0, 0.0), 0.2)], edges))
+
+
 @pytest.mark.parametrize(
-    "graph, M, chunk, fold",
+    "graph, expected",
+    [
+        (square_lattice(1), ()),
+        (square_lattice(2), (0, 1)),
+        (square_lattice(3), (0, 1, 2)),
+        (square_lattice(3, 0.5), (0, 1, 2)),
+        # the two diagonals of the (0, 1) plane map onto themselves under 0 <-> 1 alone
+        (square3_graph(extra=[(1, 1, 0), (1, -1, 0)]), (0, 1)),
+        (square3_graph(mult=(1, 1, 2)), (0, 1)),
+        (dimer_chain(), ()),
+        (HONEYCOMB, ()),  # 0 <-> 1 maps its edges onto themselves, but it has no mirror axis
+        (lieb_lattice(2), ()),  # a swap moves vertex 2 (at (1/2, 0)) onto vertex 3
+        (lieb_lattice(3), ()),
+        (diagonal_two_vertex_graph(), ()),
+        (partial_mirror_graph(), ()),  # axis 2 is its only mirror axis
+    ],
+    ids=["square1", "square2", "square3", "square3-Q0.5", "square3-diagonals", "square3-double-axis2", "dimer",
+         "honeycomb", "lieb2", "lieb3", "diagonal", "partial-mirror"],
+)
+def test_swap_class(graph, expected):
+    assert floquet._swap_class(graph.edges, graph.dim) == expected
+
+
+@pytest.mark.parametrize(
+    "graph, M, chunk, fold, swap",
     [
         # no mirror axis, or d = 1: axis 0 alone is folded, in runs of `chunk`
         # cut at m = 1 and m = M/2, so the blocks are m = 0 alone, runs from
         # m = 1, then m = M/2 alone for even M
-        (square_lattice(1), 10, 4, (0,)),  # [0, 1), [1, 5), [5, 6)
-        (square_lattice(1), 9, 4, (0,)),  # [0, 1), [1, 5): odd M, only m = 0 is its own mirror
-        (dimer_chain(), 11, 3, (0,)),  # [0, 1), [1, 4), [4, 6)
-        (HONEYCOMB, 8, 20, (0,)),  # whole slices: [0, 1), [1, 3), [3, 4), [4, 5)
-        (HONEYCOMB, 7, 21, (0,)),  # [0, 1), [1, 4)
-        (diagonal_two_vertex_graph(), 9, 5, (0,)),  # a slice cut into runs of 5 and 4 points of axis 1
-        (lieb_lattice(2), 6, 1 << 18, (0,)),  # nu = 3 goes to LAPACK; [0, 1), [1, 3), [3, 4)
-        # square:3 folds every axis: 4^3 points at M = 6
-        (square_lattice(3), 6, 10, (0, 1, 2)),  # axis 1 cut into [0, 1), [1, 3), [3, 4) at fixed axis 0
-        (square_lattice(3), 5, 60, (0, 1, 2)),  # axis 0 cut into [0, 1), [1, 3); counts vary along axes 1 and 2
-        (square_lattice(3, 0.5), 8, 1 << 18, (0, 1, 2)),
+        (square_lattice(1), 10, 4, (0,), ()),  # [0, 1), [1, 5), [5, 6)
+        (square_lattice(1), 9, 4, (0,), ()),  # [0, 1), [1, 5): odd M, only m = 0 is its own mirror
+        (dimer_chain(), 11, 3, (0,), ()),  # [0, 1), [1, 4), [4, 6)
+        (HONEYCOMB, 8, 20, (0,), ()),  # whole slices: [0, 1), [1, 3), [3, 4), [4, 5)
+        (HONEYCOMB, 7, 21, (0,), ()),  # [0, 1), [1, 4)
+        (diagonal_two_vertex_graph(), 9, 5, (0,), ()),  # a slice cut into runs of 5 and 4 points of axis 1
+        (lieb_lattice(2), 6, 1 << 18, (0,), ()),  # nu = 3 goes to LAPACK; [0, 1), [1, 3), [3, 4)
+        # square:3 folds and swaps every axis. At M = 6 the slab i = 0 of axis
+        # 0 (4^2 points) is cut into runs of axis 1, the slab i = 1 (3^2) fits
+        # one block of 10, and so does the box [2, 3]^3 left
+        (square_lattice(3), 6, 10, (0, 1, 2), (0, 1, 2)),
+        (square_lattice(3), 12, 30, (0, 1, 2), (0, 1, 2)),  # slabs i = 0..3, then the box [4, 6]^3
+        # the whole folded box fits one block, so no slab is cut from it
+        (square_lattice(3), 5, 60, (0, 1, 2), (0, 1, 2)),  # axis 0 cut into [0, 1), [1, 3)
+        (square_lattice(3, 0.5), 8, 1 << 18, (0, 1, 2), (0, 1, 2)),
         # axes 0 and 2 folded, axis 1 whole
-        (partial_mirror_graph(), 6, 30, (0, 2)),
-        (partial_mirror_graph(), 7, 1 << 18, (0, 2)),
-        (square_lattice(2, 0.3), 9, 7, (0, 1)),
-        (square_lattice(2, 0.3), 2, 1, (0, 1)),  # every point its own mirror
+        (partial_mirror_graph(), 6, 30, (0, 2), ()),
+        (partial_mirror_graph(), 7, 1 << 18, (0, 2), ()),
+        # every axis folded, axes 0 and 1 swapped: slabs 1 x (4 - i) x 4 at M = 7
+        (square3_graph(mult=(1, 1, 2)), 7, 30, (0, 1, 2), (0, 1)),
+        (square3_graph(extra=[(1, 1, 0), (1, -1, 0)]), 6, 20, (0, 1, 2), (0, 1)),
+        (square_lattice(2, 0.3), 9, 7, (0, 1), (0, 1)),  # rows i = 0, 1, 2 of axis 0, then the box [3, 4]^2
+        (square_lattice(2, 0.3), 2, 1, (0, 1), (0, 1)),  # every point its own mirror
     ],
     ids=["square1-even", "square1-odd", "dimer-odd", "honeycomb-even", "honeycomb-odd", "diagonal-odd",
-         "lieb2", "square3-even", "square3-odd", "square3-one-block", "partial-mirror-even", "partial-mirror-odd",
-         "square2-odd", "square2-M2"],
+         "lieb2", "square3-even", "square3-slabs", "square3-odd", "square3-one-block", "partial-mirror-even",
+         "partial-mirror-odd", "square3-double-axis2", "square3-diagonals", "square2-odd", "square2-M2"],
 )
-def test_half_sweep_matches_the_full_sweep(graph, M, chunk, fold, monkeypatch):
+def test_half_sweep_matches_the_full_sweep(graph, M, chunk, fold, swap, monkeypatch):
     monkeypatch.setattr(floquet, "_CHUNK", chunk)
     assert floquet._fold_axes(graph.edges, graph.dim) == fold
+    assert floquet._swap_class(graph.edges, graph.dim) == swap
+    d = graph.dim
     full = np.concatenate(list(torus_bands(graph, M)))
     blocks = list(floquet._reduced_torus_bands(graph, M))
+    ranges = [block for block, _ in floquet._grid_blocks(M, d, fold, swap)]
+    assert len(ranges) == len(blocks)
     assert max(math.prod(E.shape[:-1]) for _, E in blocks) <= chunk
+    grid = full.reshape((M,) * d + (graph.nu,))
+    for block, (_, E) in zip(ranges, blocks):
+        np.testing.assert_array_equal(E, grid[np.ix_(*block)])
     w = np.concatenate([np.broadcast_to(w, E.shape[:-1]).ravel() for w, E in blocks])
     E = np.concatenate([E.reshape(-1, graph.nu) for _, E in blocks])
-    # the full sweep's rows at m = 0..M//2 on each folded axis and every m on
-    # the rest, in C order, each weighted by the product over the folded axes
-    # of the number of indices m' with m' = m or m' = -m mod M
-    index = [np.arange(M // 2 + 1) if a in fold else np.arange(M) for a in range(graph.dim)]
-    np.testing.assert_array_equal(E, full.reshape((M,) * graph.dim + (graph.nu,))[np.ix_(*index)].reshape(E.shape))
-    if fold == (0,):
-        np.testing.assert_array_equal(E, full[: (M // 2 + 1) * M ** (graph.dim - 1)])
-    mirrors = [np.where(i == -i % M, 1.0, 2.0) if a in fold else np.ones(M) for a, i in enumerate(index)]
-    np.testing.assert_array_equal(w, math.prod(np.ix_(*mirrors)).ravel())
-    assert w.sum() == M**graph.dim
+    if not swap:
+        # the full sweep's rows at m = 0..M//2 on each folded axis and every m
+        # on the rest, in C order, each weighted by the product over the folded
+        # axes of the number of indices m' with m' = m or m' = -m mod M
+        index = [np.arange(M // 2 + 1) if a in fold else np.arange(M) for a in range(d)]
+        np.testing.assert_array_equal(E, grid[np.ix_(*index)].reshape(E.shape))
+        if fold == (0,):
+            np.testing.assert_array_equal(E, full[: (M // 2 + 1) * M ** (d - 1)])
+        mirrors = [np.where(i == -i % M, 1.0, 2.0) if a in fold else np.ones(M) for a, i in enumerate(index)]
+        np.testing.assert_array_equal(w, math.prod(np.ix_(*mirrors)).ravel())
+    else:
+        # every axis is a mirror axis here: m -> -m mod M on each axis and any
+        # order of the class axes' indices map a grid point onto its orbit, and
+        # the weights of the swept points of each orbit add up to its size
+        def orbits(m):
+            m = np.minimum(m, -m % M)
+            m[:, swap] = np.sort(m[:, swap], axis=1)
+            return m
+
+        swept = np.concatenate([np.stack(np.meshgrid(*b, indexing="ij"), axis=-1).reshape(-1, d) for b in ranges])
+        keys, sizes = np.unique(orbits(np.indices((M,) * d).reshape(d, -1).T), axis=0, return_counts=True)
+        swept_keys, inverse = np.unique(orbits(swept), axis=0, return_inverse=True)
+        np.testing.assert_array_equal(swept_keys, keys)
+        np.testing.assert_array_equal(np.bincount(inverse.ravel(), weights=w), sizes)
+    assert w.sum() == M**d
     lam = float(full.min()) - 1.0
     np.testing.assert_allclose(w @ (E - lam) ** -1.5, ((full - lam) ** -1.5).sum(axis=0), rtol=1e-13)
     extrema = band_structure(graph, M).band_extrema

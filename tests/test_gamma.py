@@ -315,6 +315,20 @@ def test_weak_membership_holds_no_grid():
     assert peak < 16e6
 
 
+def test_edge_ladder_holds_one_block_at_a_time():
+    bands = band_structure(square_lattice(3), 32)
+    edge = gap_edge(find_gaps(bands)[0], "upper", 1)
+    tracemalloc.start()
+    try:
+        edge_integral(bands, edge, 1.0, (128, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A block holds at most 2^16 points, about 1 MB of complex phases; blocks
+    # of 2^18 points took the peak to 6.8 MB.
+    assert peak < 4e6
+
+
 # square:3 plus the self-orbit edge (1, 1, (1, 1, 0)): axis 2 alone is a mirror axis
 PARTIAL_MIRROR = {
     "dim": 3,
@@ -343,13 +357,16 @@ def full_grid_power_sums(graph, lam, power, sign, M):
         (dimer_chain(), 33, 5),  # ..., [11, 16), [16, 17)
         (load_graph(HONEYCOMB), 16, 40),  # ..., [5, 7), [7, 8), [8, 9)
         (load_graph(HONEYCOMB), 15, 50),  # [0, 1), [1, 4), [4, 7), [7, 8)
-        (square_lattice(3), 12, 100),  # every axis folded: 7^3 points, axis 0 fixed per block
-        (square_lattice(3), 11, 500),  # [0, 1), [1, 6) of axis 0
-        (square_lattice(2, 0.3), 16, 40),
+        # every axis folded and swapped: slabs i = 0, 1, 2 of axis 0 (7^2, 6^2
+        # and 5^2 points), then the box [3, 6]^3 left in one block
+        (square_lattice(3), 12, 100),
+        (square_lattice(3), 12, 20),  # slabs i = 0..4, the first three cut into runs of axis 1
+        (square_lattice(3), 11, 500),  # the 6^3 folded box fits one block: [0, 1), [1, 6) of axis 0
+        (square_lattice(2, 0.3), 16, 40),  # rows i = 0, 1, 2 of axis 0, then the box [3, 8]^2
         (build_graph(PARTIAL_MIRROR), 10, 100),  # axes 0 and 2 folded, axis 1 whole
     ],
     ids=["square1-even", "square1-odd", "dimer-odd", "honeycomb-even", "honeycomb-odd", "square3-even",
-         "square3-odd", "square2-even", "partial-mirror"],
+         "square3-cut-slabs", "square3-odd", "square2-even", "partial-mirror"],
 )
 def test_half_sweep_sums_match_the_full_grid(graph, M, chunk, monkeypatch):
     monkeypatch.setattr(floquet, "_CHUNK", chunk)
@@ -366,7 +383,8 @@ def test_half_sweep_sums_match_the_full_grid(graph, M, chunk, monkeypatch):
 def mirrored_graphs(draw):
     """Connected graphs with nu <= 3, d <= 3 and cells in {-1, 0, 1}^d, their
     edges closed under the flips of a drawn set of axes, which are then mirror
-    axes; the others may or may not be."""
+    axes, and maybe under the swap of a drawn pair of axes, which then form
+    a swap class if both flip; the others may or may not be either."""
     d = draw(st.integers(1, 3))
     nu = draw(st.integers(1, 3))
     cells = st.tuples(*[st.integers(-1, 1)] * d)
@@ -376,17 +394,26 @@ def mirrored_graphs(draw):
     edges += [(1, 1, tuple(int(b == a) for b in range(d))) for a in range(d)]  # the cycles e_a
     edges += [(draw(vertex), draw(vertex), draw(cells)) for _ in range(draw(st.integers(0, 4)))]
     flips = draw(st.sets(st.integers(0, d - 1)))
+    pairs = st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True).map(sorted)
+    swap = draw(st.none() | pairs) if d > 1 else None
+    if swap:
+        a, b = swap
+        edges += [(j, jp, tuple(n[b] if c == a else n[a] if c == b else n[c] for c in range(d))) for j, jp, n in edges]
+        if flips & {a, b}:
+            flips |= {a, b}  # the flips, closed under the swap, keep the edges closed under it
     for a in flips:
         edges += [(j, jp, n[:a] + (-n[a],) + n[a + 1 :]) for j, jp, n in edges]
     doc = {"dim": d, "vertices": vertices, "edges": [{"from": j, "to": jp, "cell": list(n)} for j, jp, n in edges]}
-    return build_graph(doc), flips
+    return build_graph(doc), flips, tuple(swap or ())
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=mirrored_graphs(), data=st.data())
 def test_reduced_sweep_sums_and_extrema_equal_the_full_sweeps(case, data):
-    graph, flips = case
+    graph, flips, swap = case
     assert flips <= set(floquet._mirror_axes(graph.edges, graph.dim))
+    if set(swap) <= flips:
+        assert set(swap) <= set(floquet._swap_class(graph.edges, graph.dim))
     M = data.draw(st.integers(2, 9 if graph.dim < 3 else 6))
     chunk = data.draw(st.integers(1, M**graph.dim))
     with mock.patch.object(floquet, "_CHUNK", chunk):
@@ -513,9 +540,9 @@ def test_four_dimensions_fail_before_any_torus_sweep(monkeypatch, capsys):
     calls = []
     sweep = floquet._sweep
 
-    def spy(graph, M, fold):
+    def spy(graph, M, *layout):
         calls.append(M)
-        return sweep(graph, M, fold)
+        return sweep(graph, M, *layout)
 
     monkeypatch.setattr(floquet, "_sweep", spy)  # under torus_bands and the reduced sweep alike
     assert main(["gamma", "--graph", "square:4", "--lambda", "-1", "--p", "1", "--sign", "minus"]) == 2
