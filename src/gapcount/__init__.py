@@ -48,17 +48,6 @@ from .periodic_graph import (
     theta_const,
     theta_cos2,
 )
-from .spectral_counts import (
-    BSMatrix,
-    CountingError,
-    asymptotic_table,
-    bs_matrix,
-    counting_bs,
-    counting_direct,
-    edge_counting,
-    eigencount_below,
-    inertia,
-)
 from .weak_lp import (
     WeightedSequence,
     distribution,
@@ -68,3 +57,34 @@ from .weak_lp import (
 )
 
 __version__ = "0.1.0"
+
+# The counting API needs scipy.sparse and scipy.linalg, which take longer to
+# import than the rest of gapcount together; its names load spectral_counts on
+# first use (PEP 562), so the band, Gamma, PDO and weak-lp paths run on NumPy.
+_COUNTING = (
+    "BSMatrix",
+    "CountingError",
+    "asymptotic_table",
+    "bs_matrix",
+    "counting_bs",
+    "counting_direct",
+    "edge_counting",
+    "eigencount_below",
+    "inertia",
+)
+
+# every public name the imports above bound, as a star import took them
+# before the counting names were deferred, and those names
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_COUNTING)
+
+
+def __getattr__(name: str):
+    if name in _COUNTING:
+        from . import spectral_counts
+
+        return getattr(spectral_counts, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_COUNTING))

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance
 from .errors import GapcountError
 from .floquet import (
     band_structure,
@@ -35,7 +34,6 @@ from .periodic_graph import (
     sample_potential,
     square_lattice,
 )
-from .spectral_counts import asymptotic_table, bs_matrix, counting_bs, counting_direct
 from .weak_lp import WeightedSequence, membership_verdicts, weak_quasinorm
 
 
@@ -176,7 +174,14 @@ def _cmd_edge_conditions(args) -> int:
     return 0
 
 
+# The counting and verify handlers import spectral_counts and acceptance
+# themselves: those load scipy.sparse and scipy.linalg, which the other
+# subcommands never need and which would more than double their start-up time.
+
+
 def _cmd_count(args) -> int:
+    from .spectral_counts import bs_matrix, counting_bs, counting_direct
+
     graph = _load_graph(args.graph)
     theta = parse_theta(args.theta)
     sign = _parse_sign(args.sign)
@@ -192,6 +197,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
+    from .spectral_counts import asymptotic_table
+
     table = asymptotic_table(
         _load_graph(args.graph), parse_theta(args.theta), p=args.p, lam=args.lam, sign=_parse_sign(args.sign),
         tau_list=args.tau, L_list=args.L, grid=args.grid,
@@ -263,6 +270,8 @@ def _cmd_weaklp(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import acceptance
+
     results = acceptance.run_all(args.only)
     text = acceptance.format_results(results) + "\n"
     _emit(text, args.out)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GapcountError
 from .floquet import torus_grid
@@ -343,26 +342,43 @@ class CommutatorReport:
     products: np.ndarray  # m^{1/p} s_m
 
 
-def _blockwise_svals(K: sp.csr_matrix) -> np.ndarray:
-    """Singular values of a sparse K, in descending order, block by block.
+def _connected_components(nv: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label of each of nv vertices, the smallest vertex of its component; edge k joins a[k] and b[k].
 
-    Rows and columns are separate vertices joined by each nonzero entry, so
-    each connected component is a block of K up to a permutation; a 1 x 1
-    block's singular value is |K_ij| and a larger block takes a dense SVD.
+    Min-label hooking with pointer jumping: each round hooks the larger root
+    of every edge whose ends lie in two trees under the smaller root, then
+    points every vertex at its root. A root only hooks under a smaller one,
+    so no cycle forms, and each round merges every tree that an edge leaves
+    with at least one other, so the rounds are logarithmic in nv.
     """
-    # imported here, not at the top: csgraph adds about 2 MB to the peak RSS
-    # of every process that imports gapcount, counting runs included
-    from scipy.sparse.csgraph import connected_components
+    root = np.arange(nv)
+    while True:
+        ra, rb = root[a], root[b]
+        cross = ra != rb
+        if not cross.any():
+            return root
+        np.minimum.at(root, np.maximum(ra, rb)[cross], np.minimum(ra, rb)[cross])
+        while not np.array_equal(up := root[root], root):
+            root = up
 
-    K.eliminate_zeros()
-    K = K.tocoo()
-    m = K.shape[0]
-    i, j, x = K.row, K.col, K.data
-    pattern = sp.coo_matrix((np.ones(x.size), (i, m + j)), shape=(m + K.shape[1],) * 2)
-    ncomp, label = connected_components(pattern, directed=False)
-    comp = label[i]
-    nrows, ncols = np.bincount(label[:m], minlength=ncomp), np.bincount(label[m:], minlength=ncomp)
-    one = ((nrows == 1) & (ncols == 1))[comp]
+
+def _blockwise_svals(n: int, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Singular values of the n x n kernel with entries x at keys = row * n + col, descending.
+
+    Entries at one key are summed in their order in x, and sums that are
+    exactly 0 dropped. Rows and columns are separate vertices joined by each
+    entry, so each connected component is a block of the kernel up to a
+    permutation: a block with one entry is 1 x 1 and its singular value is
+    |x|, while a larger block takes a dense SVD.
+    """
+    keys, at = np.unique(keys, return_inverse=True)
+    total = np.empty(keys.size, dtype=complex)
+    total.real = np.bincount(at, x.real, keys.size)
+    total.imag = np.bincount(at, x.imag, keys.size)
+    nz = total != 0
+    i, j, x = keys[nz] // n, keys[nz] % n, total[nz]
+    comp = _connected_components(2 * n, i, n + j)[i]
+    one = np.bincount(comp)[comp] == 1
     parts = [np.abs(x[one])]
     for c in np.unique(comp[~one]):
         e = comp == c
@@ -384,10 +400,10 @@ def commutator_decay(
 
     f must be a trigonometric polynomial given by its lag coefficients
     {t: c} with f(k) = sum c e^{i t.k}; the commutator kernel is
-    c_{t} (W(m) - W(n)) supported on n - m = -t. The kernel is kept sparse
-    and its SVD taken block by block (`_blockwise_svals`): one lag gives
-    only 1 x 1 blocks, while several lags in d >= 2 usually give one block
-    as large as the box.
+    c_{t} (W(m) - W(n)) supported on n - m = -t. The kernel is kept as
+    (row, column, value) triplets and its SVD taken block by block
+    (`_blockwise_svals`): one lag gives only 1 x 1 blocks, while several
+    lags in d >= 2 usually give one block as large as the box.
     """
     if W.L != L:
         raise PdoError("symbol truncation radius does not match L")
@@ -395,7 +411,8 @@ def commutator_decay(
     n = (2 * L + 1) ** d
     wfull = np.zeros(n, dtype=complex)
     wfull[box_index(W.points, L)] = W.values
-    K = sp.csr_matrix((n, n), dtype=complex)
+    # no lags at all give no entries
+    keys, vals = [np.empty(0, dtype=int)], [np.empty(0, dtype=complex)]
     for t, c in f_coeffs.items():
         tv = np.atleast_1d(np.asarray(t, dtype=int))
         if tv.shape != (d,):
@@ -404,7 +421,8 @@ def commutator_decay(
             raise PdoError(f"the coefficient {c} of lag {t} must be finite")
         # pairs with n_i - n_j = -t, i.e. n_j = n_i + t
         i, j = box_shift(d, L, tv)
-        K = K + sp.csr_matrix((c * (wfull[j] - wfull[i]), (i, j)), shape=(n, n))
-    seq = WeightedSequence(_nonzero(_blockwise_svals(K), _SV_TOL))
+        keys.append(i * n + j)
+        vals.append(c * (wfull[j] - wfull[i]))
+    seq = WeightedSequence(_nonzero(_blockwise_svals(n, np.concatenate(keys), np.concatenate(vals)), _SV_TOL))
     m = np.arange(1, len(seq) + 1, dtype=float)
     return CommutatorReport(seq, seq.values * m ** (1.0 / p))

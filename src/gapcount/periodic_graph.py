@@ -21,12 +21,14 @@ import warnings
 from dataclasses import dataclass
 from collections import defaultdict
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GapcountError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class GraphError(GapcountError):
@@ -304,6 +306,8 @@ def assemble_truncated(graph: PeriodicGraph, L: int) -> FiniteHamiltonian:
     Full-graph degrees stay on the diagonal; couplings leaving the box
     are dropped.
     """
+    import scipy.sparse as sp  # here, not at the top: only the counting path builds H_L
+
     nu, nsites = graph.nu, box_sites(graph, L)[0].shape[0]
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []

@@ -2,6 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 import gapcount.pdo_lab as pdo_lab
 from gapcount.floquet import torus_grid
@@ -21,6 +25,7 @@ from gapcount.pdo_lab import (
     torus_one,
     torus_trig,
 )
+from gapcount.periodic_graph import box_index, box_shift
 
 
 def direct_section_svalues(f, g, W, M):
@@ -426,6 +431,90 @@ def test_commutator_decay_matches_explicit_kernel(d, coeffs, v):
     rep = commutator_decay(coeffs, W, 1.0, L)
     assert len(rep.svalues) == sv.size > 0
     np.testing.assert_allclose(rep.svalues.values, sv, rtol=0.0, atol=1e-12)
+
+
+def sparse_commutator_decay(f_coeffs, W, p, L):
+    """Oracle: the commutator's s-values and products from a scipy.sparse kernel.
+
+    Each lag's kernel is a CSR matrix added to the sum, which drops exact
+    zeros; csgraph's connected components of the row-column pattern give the
+    blocks, each with one SVD as in `commutator_decay`.
+    """
+    d = W.dim
+    n = (2 * L + 1) ** d
+    wfull = np.zeros(n, dtype=complex)
+    wfull[box_index(W.points, L)] = W.values
+    K = sp.csr_matrix((n, n), dtype=complex)
+    for t, c in f_coeffs.items():
+        i, j = box_shift(d, L, np.atleast_1d(np.asarray(t, dtype=int)))
+        K = K + sp.csr_matrix((c * (wfull[j] - wfull[i]), (i, j)), shape=(n, n))
+    K.eliminate_zeros()
+    K = K.tocoo()
+    i, j, x = K.row, K.col, K.data
+    pattern = sp.coo_matrix((np.ones(x.size), (i, n + j)), shape=(2 * n, 2 * n))
+    ncomp, label = connected_components(pattern, directed=False)
+    comp = label[i]
+    nrows, ncols = np.bincount(label[:n], minlength=ncomp), np.bincount(label[n:], minlength=ncomp)
+    one = ((nrows == 1) & (ncols == 1))[comp]
+    parts = [np.abs(x[one])]
+    for c in np.unique(comp[~one]):
+        e = comp == c
+        rows, r = np.unique(i[e], return_inverse=True)
+        cols, s = np.unique(j[e], return_inverse=True)
+        block = np.zeros((rows.size, cols.size), dtype=x.dtype)
+        block[r, s] = x[e]
+        parts.append(np.linalg.svd(pdo_lab._real_if_exact(block), compute_uv=False))
+    sv = pdo_lab._nonzero(np.sort(np.concatenate(parts))[::-1], pdo_lab._SV_TOL)
+    return sv, sv * np.arange(1, sv.size + 1, dtype=float) ** (1.0 / p)
+
+
+@pytest.mark.parametrize(
+    "d, coeffs, v, L",
+    [
+        (1, {1: 1.0}, 1.0, 64),
+        (1, {1: 1.0, 2: 0.5j, -1: 0.25}, lambda u: 1.0 + 0.5 * u[:, 0], 20),
+        (1, {1: 1.0, (1,): 0.5}, lambda u: 1.0 + 0.5 * u[:, 0], 16),
+        (1, {1: 2.0, (1,): -2.0, 2: 1.0}, 1.0, 16),
+        (1, {1: 0.0, 2: 1.5}, 1.0, 12),
+        (2, {(1, 0): 1.0}, lambda u: 1.0 + 0.5 * u[:, 0] + 0.3j * u[:, 1], 8),
+        (2, {(1, 0): 1.0, (0, -1): 0.5, (1, 1): 1j}, 1.0, 6),
+        (3, {(1, 0, 0): 1.0}, 1.0, 4),
+        (3, {(1, 0, 0): 1.0, (0, 1, 0): 0.0, (0, 0, -1): 2.0 - 1.0j}, lambda u: 1.0 + u[:, 2] ** 2, 3),
+    ],
+    ids=["d1-one-lag", "d1-three-lags", "d1-lag-1-and-(1,)", "d1-lags-cancel", "d1-zero-coeff",
+         "d2-one-lag", "d2-three-lags", "d3-one-lag", "d3-three-lags-zero-coeff"],
+)
+def test_commutator_decay_bitwise_equals_sparse_oracle(d, coeffs, v, L):
+    # a lag given as 1 and as (1,) puts two entries at each key, summed in
+    # lag order; lags whose coefficients cancel leave exact zeros to drop
+    W = homogeneous_symbol(v, 1.3, d, L)
+    sv, products = sparse_commutator_decay(coeffs, W, 1.3, L)
+    rep = commutator_decay(coeffs, W, 1.3, L)
+    assert rep.svalues.values.tobytes() == sv.tobytes()
+    assert rep.products.tobytes() == products.tobytes()
+
+
+@st.composite
+def bipartite_edges(draw):
+    """Vertex count and the ends of edges from rows [0, m) to columns [m, 2m), some repeated."""
+    m = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=3 * m))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    a = np.array([r for r, _ in pairs], dtype=int)
+    b = np.array([m + c for _, c in pairs], dtype=int)
+    return 2 * m, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=bipartite_edges())
+@example(case=(6, np.empty(0, dtype=int), np.empty(0, dtype=int)))
+def test_connected_components_match_csgraph(case):
+    nv, a, b = case
+    label = pdo_lab._connected_components(nv, a, b)
+    ncomp, ref = connected_components(sp.coo_matrix((np.ones(a.size), (a, b)), shape=(nv, nv)), directed=False)
+    smallest = np.full(ncomp, nv)
+    np.minimum.at(smallest, ref, np.arange(nv))
+    np.testing.assert_array_equal(label, smallest[ref])
 
 
 def test_commutator_decay_trend():
