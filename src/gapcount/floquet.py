@@ -186,9 +186,8 @@ def _band_energies(graph: PeriodicGraph, phases: Sequence[np.ndarray], shape: tu
     for e, z in zip(graph.edges, phases):
         if e.j == e.jp:
             diag[e.j - 1] = diag[e.j - 1] - 2.0 * e.mult * z.real
-        else:
-            w = e.mult * z
-            b = b - (w if e.j == 1 else np.conj(w))
+        else:  # build_graph stores edges with j <= j', so this one is (1, 2)
+            b = b - e.mult * z
     if nu == 1:
         E = diag[0]  # a fresh array once the phases span the block
         return (E if np.shape(E) == shape else np.broadcast_to(E, shape).copy()).reshape(-1, 1)

@@ -158,10 +158,7 @@ def _band_power_sums(graph: PeriodicGraph, lam: float, power: float, sign: str, 
     total = np.zeros(graph.nu)
     for w, E in _reduced_torus_bands(graph, M):
         part = _signed_part(lam, E, sign)
-        vanish = part == 0.0
-        with np.errstate(divide="ignore"):
-            np.power(part, -power, out=part)  # in place, inf where the part vanishes
-        part[vanish] = 0.0
+        np.power(part, -power, out=part, where=part > 0.0)  # vanishing parts stay 0
         part *= w[..., None]
         part = part.reshape(-1, graph.nu)
         # one band at a time: numpy's column sums of an (n, 2) array are

@@ -19,13 +19,14 @@ replaced by a dense eigensolve and, where a solve is needed, a dense LU.
   eigenvalues beyond a threshold are computed, by one block Lanczos run
   per block with full reorthogonalization: the basis grows by a block of
   16 columns until the Ritz values down to the first one inside the
-  threshold have settled and their explicit residuals decide the count
-  and the boundary flag.  The dense formed X_b decides instead when its
-  support is smaller than two blocks, when the basis has no room for
-  another block, and when 16 or more returned Ritz values agree within
-  their residuals, since a block Krylov space holds at most 16 vectors of
-  an eigenspace.  The block tails merge, and one partial spectrum per sign
-  is kept and serves every narrower threshold; a wider one replaces it.
+  threshold have settled and their explicit residuals alone decide the
+  count and the boundary flag.  The spectrum of the dense X_b decides
+  instead, and only that spectrum is kept, when its support is smaller
+  than two blocks, when the basis has no room for another block, and when
+  16 or more returned Ritz values agree within their residuals, since a
+  block Krylov space holds at most 16 vectors of an eigenspace.  The block
+  tails merge, and one partial spectrum per sign is kept and serves every
+  narrower threshold; a wider one replaces it.
 * Direct spectral inertia: difference of eigenvalue counts below lambda
   between H_L and H_L +/- tau V, each from the factor's negative pivots.
 
@@ -298,12 +299,13 @@ class BSBlock:
     """X_b = V_b^{1/2} (lambda I - H_b)^{-1} V_b^{1/2} on the support of V_b,
     for one block H_b of H_L and its diagonal potential V_b.
 
-    X_b is applied through the trusted factor of H_b - lambda.  `matrix` and
-    `eigenvalues` form the dense X_b on first access; `tail` finds only the
-    eigenvalues beyond a threshold, by one block Lanczos run, and the dense
-    eigenvalues stand in for that run when the support is smaller than two
-    blocks, when the basis fills up, and when _BLOCK or more Ritz values
-    agree within their residuals.
+    X_b is applied through the trusted factor of H_b - lambda.  `tail` finds
+    only the eigenvalues beyond a threshold, by one block Lanczos run whose
+    explicit residuals alone decide the tail.  The dense eigenvalues stand in
+    for that run when the support is smaller than two blocks, when the basis
+    fills up, and when _BLOCK or more Ritz values agree within their
+    residuals; `eigenvalues` forms the dense X_b on first access and keeps
+    only its spectrum.
     """
 
     support: np.ndarray  # indices into H_b with V_b > 0
@@ -311,7 +313,6 @@ class BSBlock:
     size: int  # rows of H_b
     route: str  # of the factor of H_b - lambda: "mmd", "natural" or "dense"
     _solve: object = field(repr=False)  # solves (H_b - lambda) Z = R
-    _matrix: np.ndarray | None = field(default=None, repr=False)
     _eigenvalues: np.ndarray | None = field(default=None, repr=False)
 
     def apply(self, Y: np.ndarray) -> np.ndarray:
@@ -322,17 +323,11 @@ class BSBlock:
         return -(self.sqrtv * self._solve(rhs)[self.support].T).T
 
     @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            X = self.apply(np.eye(self.support.size)) if self.support.size else np.zeros((0, 0))
-            self._matrix = 0.5 * (X + X.T)
-        return self._matrix
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
-            if self.matrix.size:
-                self._eigenvalues = sla.eigvalsh(self.matrix, driver="evd")
+            if self.support.size:
+                X = self.apply(np.eye(self.support.size))
+                self._eigenvalues = sla.eigvalsh(0.5 * (X + X.T), driver="evd")
             else:
                 self._eigenvalues = np.zeros(0)
         return self._eigenvalues
@@ -467,9 +462,9 @@ def _orthonormalize(W: np.ndarray, scale: float, rng: np.random.Generator):
 
 
 def _next_block(W: np.ndarray, basis: _Basis, rng: np.random.Generator):
-    """Q with orthonormal columns, orthogonal to the basis, and C, B with
-    W = basis C + Q B, up to the directions that _orthonormalize replaces.
-    W is overwritten.
+    """Q with orthonormal columns, orthogonal to the basis, and C with
+    W = basis C + Q B for some B, up to the directions that _orthonormalize
+    replaces.  W is overwritten.
 
     Block classical Gram-Schmidt applied twice, with an orthonormalization
     after each pass (Barlow & Smoktunowicz 2013).  Random columns that stand
@@ -480,8 +475,8 @@ def _next_block(W: np.ndarray, basis: _Basis, rng: np.random.Generator):
     C = basis.project_out(W)
     Q, B = _orthonormalize(W, scale, rng)
     C2 = basis.project_out(Q)
-    Q, B2 = _orthonormalize(Q, 1.0, rng)
-    return Q, C + dgemm(1.0, C2, B), dgemm(1.0, B2, B)
+    Q, _ = _orthonormalize(Q, 1.0, rng)
+    return Q, C + dgemm(1.0, C2, B)
 
 
 def _lanczos_pass(op, m: int, threshold: float):
@@ -502,7 +497,7 @@ def _lanczos_pass(op, m: int, threshold: float):
     prev = np.zeros(0)
     while (k := basis.k + b) + b <= m:
         basis.append(Q)
-        Q, C, B = _next_block(op(Q), basis, rng)
+        Q, C = _next_block(op(Q), basis, rng)
         # T = basis^T op basis grows by the block column C.
         grown = np.empty((k, k))
         grown[: k - b, : k - b] = T
@@ -520,16 +515,13 @@ def _lanczos_pass(op, m: int, threshold: float):
                 # is faster than the r of them by dsyevr
                 w, Y = sla.eigh(T, driver="evd")
                 w, Y = w[k - r :][::-1], Y[:, k - r :][:, ::-1]
-                # op basis Y = basis Y diag(w) + Q B Y_last: the Lanczos residuals
-                lanczos = sla.norm(dgemm(1.0, B, Y[-b:]), axis=0)
-                if _Tail(w, lanczos, threshold).decides(threshold):
-                    e = np.empty(r)
-                    for i in range(0, r, b):
-                        Z = basis.combine(Y[:, i : i + b])
-                        e[i : i + b] = sla.norm(op(Z) - Z * w[i : i + b], axis=0)
-                        e[i : i + b] /= sla.norm(Z, axis=0)
-                    if _Tail(w, e, threshold).decides(threshold):
-                        return w, e
+                e = np.empty(r)
+                for i in range(0, r, b):
+                    Z = basis.combine(Y[:, i : i + b])
+                    e[i : i + b] = sla.norm(op(Z) - Z * w[i : i + b], axis=0)
+                    e[i : i + b] /= sla.norm(Z, axis=0)
+                if _Tail(w, e, threshold).decides(threshold):
+                    return w, e
         prev = theta
     return None
 

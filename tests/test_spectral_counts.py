@@ -548,7 +548,7 @@ def _bs_against_dense(H, v, lam, sign, taus, *, dense=False):
             bool(np.min(np.abs(w - thr if sign == "+" else w + thr)) <= 1e-10),
         )
         assert tuple(counting_bs(X, tau, sign)) == expected
-    assert all((b._matrix is not None) == dense for b in X.blocks)  # whether a dense X_b was formed
+    assert all((b._eigenvalues is not None) == dense for b in X.blocks)  # whether a dense X_b was formed
     return w
 
 
@@ -589,6 +589,49 @@ def test_bs_partial_spectrum_small_support_both_signs():
     # 52 and 51 eigenvalues lie beyond 1/40: the basis fills before they settle.
     for sign in "+-":
         _bs_against_dense(H, v, 3.0, sign, (40.0,), dense=True)
+
+
+def test_a_dense_fallback_keeps_only_the_spectrum():
+    graph = dimer_chain()
+    X = bs_matrix(assemble_truncated(graph, 40), sample_potential(graph, theta_const(1.0), 1.0, 40), 3.0)
+    assert [counting_bs(X, 40.0, s) for s in "-+"] == [(52, False), (51, False)]
+    (block,) = X.blocks
+    assert block._eigenvalues is not None  # the block went dense
+    assert not any(np.ndim(a) == 2 for a in vars(block).values())
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "top",
+    [
+        lambda rng: np.linspace(3.0, 1.5, 10),
+        # runs of 3, 5, 2 and 4 eigenvalues within 1e-9 of each other
+        lambda rng: np.repeat([3.0, 2.5, 2.0, 1.6], [3, 5, 2, 4]) + rng.uniform(0.0, 1e-9, 14),
+    ],
+    ids=["separated", "clustered"],
+)
+def test_lanczos_residuals_certify_the_tail(seed, top):
+    # a random symmetric 200 x 200 operator: the eigenvalues `top`, and the
+    # rest drawn from [-1, 1]
+    rng = np.random.default_rng(seed)
+    lead = top(rng)
+    Q = np.linalg.qr(rng.standard_normal((200, 200)))[0]
+    A = (Q * np.concatenate([lead, rng.uniform(-1.0, 1.0, 200 - lead.size)])) @ Q.T
+    A = 0.5 * (A + A.T)
+    ev = np.linalg.eigvalsh(A)
+    slack = 1e-12 * np.abs(ev).max()
+    returned = 0
+    for threshold in (2.2, 1.4, 1.2):
+        found = sc._lanczos_pass(lambda Y: A @ Y, A.shape[0], threshold)
+        if found is None:  # the basis filled up; the dense X_b decides then
+            continue
+        returned += 1
+        w, e = found
+        # every Ritz value has an eigenvalue within its residual
+        assert np.all(np.abs(ev[None, :] - w[:, None]).min(axis=1) <= e + slack)
+        assert np.count_nonzero(w > threshold) == np.count_nonzero(ev > threshold)
+        assert w[-1] < threshold - 1e-10 and np.all(w[:-1] >= threshold - 1e-10)
+    assert returned
 
 
 def test_bs_partial_spectrum_multiplicity_above_the_block():
@@ -641,7 +684,7 @@ def test_a_wider_threshold_replaces_the_one_tail_per_sign(monkeypatch):
     # and serves the last threshold
     for tau in (5.0, 100.0, 5.0):
         assert counting_bs(X, tau, "-") == (np.count_nonzero(w < -1.0 / tau), False)
-    assert len(runs) == 2 and all(b._matrix is None for b in X.blocks)
+    assert len(runs) == 2 and all(b._eigenvalues is None for b in X.blocks)
     assert X._tails["-"].start == 1.0 / 100.0
 
 
@@ -731,7 +774,7 @@ def test_the_fold_keeps_the_spectrum_and_the_inertia_of_the_box(box):
 def test_reversal_invariant_boxes_split_into_two_halves(box, lam):
     H, v = box()
     X = _blocks_against_dense(H, v, lam, blocks=2)
-    assert all(b._matrix is None for b in X.blocks)
+    assert all(b._eigenvalues is None for b in X.blocks)
 
 
 def test_a_tail_with_one_dense_half_is_complete_only_down_to_its_threshold(monkeypatch):
@@ -790,7 +833,7 @@ def test_halves_fall_back_to_their_dense_compressions(box):
     H, v = box()
     X = _blocks_against_dense(H, v, -1.0, blocks=2)
     # every block went dense, from its own X_b
-    assert X._tails["-"].start == -math.inf and all(b._matrix is not None for b in X.blocks)
+    assert X._tails["-"].start == -math.inf and all(b._eigenvalues is not None for b in X.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +887,7 @@ def test_untrusted_factors_fall_back_to_dense(monkeypatch):
     X = bs_matrix(H, v, 3.0)
     assert [b.route for b in X.blocks] == ["dense"]
     assert [(counting_bs(X, 10.0, s), counting_direct(H, v, 3.0, 10.0, s)) for s in "+-"] == expected
-    assert X.blocks[0]._matrix is None  # block Lanczos, not the dense X, counted
+    assert X.blocks[0]._eigenvalues is None  # block Lanczos, not the dense X, counted
 
 
 def test_bs_matrix_rejects_a_factor_that_miscounts(monkeypatch):
