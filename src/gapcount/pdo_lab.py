@@ -136,6 +136,8 @@ def tabulated_symbol(points: np.ndarray, values: np.ndarray, L: int) -> LatticeS
         raise PdoError("symbol values must be finite")
     if np.max(np.abs(points)) > L:
         raise PdoError("symbol support exceeds the truncation radius")
+    if np.unique(points, axis=0).shape[0] < points.shape[0]:
+        raise PdoError("symbol support points must not repeat")
     keep = np.abs(values) > 0.0
     return LatticeSymbol(points[keep], values[keep], L)
 

@@ -24,9 +24,10 @@ replaced by a dense eigensolve and, where a solve is needed, a dense LU.
   instead, and only that spectrum is kept, when its support is smaller
   than two blocks, when the basis has no room for another block, and when
   16 or more returned Ritz values agree within their residuals, since a
-  block Krylov space holds at most 16 vectors of an eigenspace.  The block
-  tails merge, and one partial spectrum per sign is kept and serves every
-  narrower threshold; a wider one replaces it.
+  block Krylov space holds at most 16 vectors of an eigenspace.  The count
+  of X is the sum of its blocks' counts.  Each block keeps one tail per
+  sign, which serves every threshold it decides; only a block whose tail
+  cannot decide a threshold runs again.
 * Direct spectral inertia: difference of eigenvalue counts below lambda
   between H_L and H_L +/- tau V, each from the factor's negative pivots.
 
@@ -305,7 +306,8 @@ class BSBlock:
     for that run when the support is smaller than two blocks, when the basis
     fills up, and when _BLOCK or more Ritz values agree within their
     residuals; `eigenvalues` forms the dense X_b on first access and keeps
-    only its spectrum.
+    only its spectrum.  `count` keeps one tail per sign and replaces it only
+    when it cannot decide a threshold.
     """
 
     support: np.ndarray  # indices into H_b with V_b > 0
@@ -314,6 +316,7 @@ class BSBlock:
     route: str  # of the factor of H_b - lambda: "mmd", "natural" or "dense"
     _solve: object = field(repr=False)  # solves (H_b - lambda) Z = R
     _eigenvalues: np.ndarray | None = field(default=None, repr=False)
+    _tails: dict[str, _Tail] = field(default_factory=dict, repr=False)
 
     def apply(self, Y: np.ndarray) -> np.ndarray:
         """X_b @ Y for a vector or a block of columns on the support."""
@@ -344,6 +347,15 @@ class BSBlock:
             return _Tail(*found, threshold)
         return _Tail(s * self.eigenvalues, np.zeros(m), -math.inf)
 
+    def count(self, sign: str, threshold: float) -> Count:
+        """Eigenvalues of +X_b ('+') or -X_b ('-') beyond the threshold, and
+        whether one lies within 1e-10 of it."""
+        t = self._tails.get(sign)
+        if t is None or not t.decides(threshold):
+            t = self._tails[sign] = self.tail(1.0 if sign == "+" else -1.0, threshold)
+        near = np.abs(t.mu - threshold) <= _BOUNDARY_TOL
+        return Count(int(np.count_nonzero(t.mu > threshold)), bool(near.any()))
+
 
 @dataclass
 class BSMatrix:
@@ -354,37 +366,18 @@ class BSMatrix:
     bs_matrix folds them into an even and an odd block and X is the direct
     sum of their BSBlocks; otherwise the one block is H_L itself.  The
     negative pivots of the blocks' factors must number `below`, the count
-    of H_L below lambda.  `eigenvalues` is the sorted union of the block
-    spectra; `tail` merges the block tails and keeps one such tail per
-    sign, replaced when a threshold it cannot decide needs new runs.
+    of H_L below lambda.  A count of X is the sum of the blocks' counts;
+    `eigenvalues` is the sorted union of the block spectra.
     """
 
     support: np.ndarray  # site indices with V > 0
     H: sp.csc_matrix  # H_L as checked by bs_matrix, for the direct route to reuse
     below: int  # eigenvalues of H_L below lambda
     blocks: list[BSBlock]  # the even and odd blocks of a reversal-invariant box; else one
-    _tails: dict[str, _Tail] = field(default_factory=dict, repr=False)
 
     @property
     def eigenvalues(self) -> np.ndarray:
         return np.sort(np.concatenate([b.eigenvalues for b in self.blocks]))
-
-    def tail(self, sign: str, threshold: float) -> np.ndarray:
-        """Eigenvalues of +X ('+') or -X ('-') that include every one beyond
-        threshold - 1e-10, accurate enough to decide the count beyond the
-        threshold and whether one lies within 1e-10 of it."""
-        t = self._tails.get(sign)
-        if t is None or not t.decides(threshold):
-            t = self._tails[sign] = self._partial_spectrum(1.0 if sign == "+" else -1.0, threshold)
-        return t.mu
-
-    def _partial_spectrum(self, s: float, threshold: float) -> _Tail:
-        """The block tails merged, complete down to the highest of their starts."""
-        tails = [b.tail(s, threshold) for b in self.blocks]
-        mu = np.concatenate([t.mu for t in tails])
-        order = np.argsort(-mu, kind="stable")
-        err = np.concatenate([t.err for t in tails])[order]
-        return _Tail(mu[order], err, max(t.start for t in tails))
 
 
 def _longest_cluster(theta: np.ndarray, err: np.ndarray) -> int:
@@ -528,7 +521,8 @@ def _lanczos_pass(op, m: int, threshold: float):
 
 def _fold(A: sp.csc_matrix, v: np.ndarray) -> list[tuple[sp.csc_matrix, np.ndarray]]:
     """The blocks (H_b, V_b) of X: an even and an odd block when reversing the
-    site order J keeps H_L and V exactly, else H_L and V themselves.
+    site order J keeps a nonempty H_L and V exactly, else H_L and V
+    themselves.
 
     A J-invariant H_L is block diagonal in the orthonormal basis
     (e_i +/- e_{n-1-i}) / sqrt 2, i < n // 2, with the middle unit vector of
@@ -537,7 +531,7 @@ def _fold(A: sp.csc_matrix, v: np.ndarray) -> list[tuple[sp.csc_matrix, np.ndarr
     1/sqrt 2, and the diagonal V, even under J, is v[:size] in each block.
     """
     n = A.shape[0]
-    if not (np.array_equal(v[::-1], v) and (A != A[::-1, ::-1]).nnz == 0):
+    if not (n and np.array_equal(v[::-1], v) and (A != A[::-1, ::-1]).nnz == 0):
         return [(A, v)]
     h = n // 2
     blocks = []
@@ -570,11 +564,8 @@ def bs_matrix(H: Matrix, V: np.ndarray, lam: float) -> BSMatrix:
 def counting_bs(X: BSMatrix, tau: float, sign: str) -> Count:
     """n_{+/-}(1/tau, X): eigenvalues of X beyond the threshold 1/tau."""
     _coupling(tau, sign)  # checks tau and sign
-    thr = 1.0 / tau
-    mu = X.tail(sign, thr)  # eigenvalues of +X or -X
-    value = int(np.count_nonzero(mu > thr))
-    boundary = bool(mu.size and np.min(np.abs(mu - thr)) <= _BOUNDARY_TOL)
-    return Count(value, boundary)
+    counts = [b.count(sign, 1.0 / tau) for b in X.blocks]
+    return Count(sum(c.value for c in counts), any(c.boundary for c in counts))
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +694,7 @@ def asymptotic_table(
 
     # BS counts by (box, tau), from the largest box down.  Box i settles a tau
     # at box i + 1 when the two agree; unsettled taus go widest threshold
-    # first, so that one partial spectrum per box serves them all.
+    # first, so that one tail per block and sign serves them all.
     top = len(boxes) - 1
     cbs, settled = {}, {}
     unsettled = sorted(set(tau_list), reverse=True)

@@ -305,6 +305,16 @@ def test_tabulated_symbol_needs_a_point():
         tabulated_symbol(np.array([], dtype=int), np.array([]), 4)
 
 
+@pytest.mark.parametrize(
+    "points", [np.array([1, 1]), np.array([[0, 2], [1, -1], [0, 2]])], ids=["d1", "d2"]
+)
+def test_tabulated_symbol_rejects_a_repeated_point(points):
+    # W(1) would be 1, 2 or 3 depending on whether the two values are taken
+    # as two sites, the last one, or their sum
+    with pytest.raises(PdoError, match="must not repeat"):
+        tabulated_symbol(points, np.arange(1.0, points.shape[0] + 1.0), 4)
+
+
 def test_cwikel_scale_invariance():
     L, M = 32, 256
     W = homogeneous_symbol(1.0, 1.0, 1, L)

@@ -77,6 +77,17 @@ def test_empty_potential():
     assert counting_direct(H, np.zeros(2), 2.0, 5.0, "+").value == 0
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_an_empty_box_counts_zero_on_both_routes(sign):
+    # reversal keeps the 0 x 0 box, which stays one empty block
+    H, v = sp.csc_matrix((0, 0)), np.zeros(0)
+    X = bs_matrix(H, v, 0.5)
+    assert len(X.blocks) == 1 and X.eigenvalues.shape == (0,)
+    assert counting_bs(X, 2.0, sign) == counting_direct(H, v, 0.5, 2.0, sign) == (0, False)
+    gap = Gap(-math.inf, 1.0, "left-semi-infinite", None)
+    assert edge_counting(H, v, gap, 2.0, "-").estimate == 0
+
+
 def test_lambda_near_spectrum_rejected():
     H = np.diag([1.0, 3.0])
     with pytest.raises(CountingError, match="eigenvalue"):
@@ -282,28 +293,29 @@ def test_asymptotic_table_counts_n_direct_once_per_tau(monkeypatch):
 
 
 def test_asymptotic_table_skips_the_tails_of_settled_boxes(monkeypatch):
-    built, tails = [], []
-    build, tail = sc.bs_matrix, sc.BSMatrix.tail
+    built, counted = [], []
+    build, count = sc.bs_matrix, sc.BSBlock.count
 
     def build_spy(H, V, lam):
         X = build(H, V, lam)
         built.append(X.H.shape[0])
         return X
 
-    def tail_spy(self, *args):
-        tails.append(self.H.shape[0])
-        return tail(self, *args)
+    def count_spy(self, *args):
+        counted.append(self.size)
+        return count(self, *args)
 
     monkeypatch.setattr(sc, "bs_matrix", build_spy)
-    monkeypatch.setattr(sc.BSMatrix, "tail", tail_spy)
+    monkeypatch.setattr(sc.BSBlock, "count", count_spy)
     table = asymptotic_table(
         square_lattice(1), theta_const(1.0), p=1.0, lam=-1.0, sign="-",
         tau_list=(2.0, 4.0), L_list=(20, 40, 80), grid=32,
     )
-    # the boxes L = 40 and 80 agree for both taus, so L = 20 gets no tail
+    # the boxes L = 40 and 80 agree for both taus, so the blocks of L = 20,
+    # of 21 and 20 sites, get no tail
     assert [(r.L, r.N_bs, r.flags) for r in table.rows] == [(80, 1, ()), (80, 3, ())]
     assert built == [41, 81, 161]
-    assert sorted(set(tails)) == [81, 161]
+    assert sorted(set(counted)) == [40, 41, 80, 81]
 
 
 _BOXES = (10, 20, 40, 80)
@@ -649,43 +661,44 @@ def test_bs_partial_spectrum_multiplicity_above_the_block():
     assert np.ptp(tail.reshape(-1, copies), axis=1).max() < 1e-12
 
 
+def _spy_tail_runs(monkeypatch):
+    """Record the block size and threshold of every BSBlock.tail run."""
+    runs = []
+    tail = sc.BSBlock.tail
+
+    def spy(self, s, threshold):
+        runs.append((self.size, threshold))
+        return tail(self, s, threshold)
+
+    monkeypatch.setattr(sc.BSBlock, "tail", spy)
+    return runs
+
+
 def test_one_tail_run_serves_every_tau(monkeypatch):
     graph = square_lattice(1)
     L = 2000  # the box of acceptance criterion 5
     X = bs_matrix(assemble_truncated(graph, L), sample_potential(graph, theta_const(1.0), 1.0, L), -1.0)
-    runs = []
-    solve = sc.BSMatrix._partial_spectrum
-
-    def spy(self, *args):
-        runs.append(args)
-        return solve(self, *args)
-
-    monkeypatch.setattr(sc.BSMatrix, "_partial_spectrum", spy)
+    runs = _spy_tail_runs(monkeypatch)
     counts = [counting_bs(X, tau, "-").value for tau in (200.0, 100.0, 50.0, 25.0)]
     assert counts == [179, 89, 45, 23]
-    assert len(runs) == 1
+    # one run per block, at the widest threshold
+    assert runs == [(b.size, 1.0 / 200.0) for b in X.blocks] and len(runs) == 2
 
 
 def test_a_wider_threshold_replaces_the_one_tail_per_sign(monkeypatch):
     graph = square_lattice(1)
     H = assemble_truncated(graph, 300)
     v = sample_potential(graph, theta_const(1.0), 1.0, 300)
-    runs = []
-    solve = sc.BSMatrix._partial_spectrum
-
-    def spy(self, *args):
-        runs.append(args)
-        return solve(self, *args)
-
-    monkeypatch.setattr(sc.BSMatrix, "_partial_spectrum", spy)
+    runs = _spy_tail_runs(monkeypatch)
     w = _dense_bs_eigenvalues(H, v, -1.0)
     X = bs_matrix(H, v, -1.0)
-    # narrow, wide, then narrow again: the wide run replaces the first tail
-    # and serves the last threshold
+    # narrow, wide, then narrow again: in each block the wide run replaces
+    # the first tail and serves the last threshold
     for tau in (5.0, 100.0, 5.0):
         assert counting_bs(X, tau, "-") == (np.count_nonzero(w < -1.0 / tau), False)
-    assert len(runs) == 2 and all(b._eigenvalues is None for b in X.blocks)
-    assert X._tails["-"].start == 1.0 / 100.0
+    assert sorted(runs) == sorted((b.size, thr) for b in X.blocks for thr in (1.0 / 5.0, 1.0 / 100.0))
+    assert all(b._eigenvalues is None for b in X.blocks)
+    assert [b._tails["-"].start for b in X.blocks] == [1.0 / 100.0] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -780,13 +793,21 @@ def test_reversal_invariant_boxes_split_into_two_halves(box, lam):
 def test_a_tail_with_one_dense_half_is_complete_only_down_to_its_threshold(monkeypatch):
     H, v = _square_box(1, 300)
     w = _dense_bs_eigenvalues(H, v, -1.0)
-    lanczos = sc._lanczos_pass
+    lanczos, passes = sc._lanczos_pass, []
+
+    def odd_goes_dense(op, m, thr):
+        passes.append(m)
+        return None if m == 300 else lanczos(op, m, thr)
+
     # the odd block, of 300 columns, goes dense; the even one, of 301, runs block Lanczos
-    monkeypatch.setattr(sc, "_lanczos_pass", lambda op, m, thr: None if m == 300 else lanczos(op, m, thr))
+    monkeypatch.setattr(sc, "_lanczos_pass", odd_goes_dense)
     X = bs_matrix(H, v, -1.0)
+    even, odd = X.blocks
     for tau in (5.0, 100.0):
         assert counting_bs(X, tau, "-") == (np.count_nonzero(w < -1.0 / tau), False)
-        assert X._tails["-"].start == 1.0 / tau
+        assert (even._tails["-"].start, odd._tails["-"].start) == (1.0 / tau, -math.inf)
+    # the dense spectrum of the odd block decides every threshold: it runs once
+    assert passes.count(300) == 1 and passes.count(301) == 2
 
 
 def _nudged_square_box():
@@ -833,7 +854,7 @@ def test_halves_fall_back_to_their_dense_compressions(box):
     H, v = box()
     X = _blocks_against_dense(H, v, -1.0, blocks=2)
     # every block went dense, from its own X_b
-    assert X._tails["-"].start == -math.inf and all(b._eigenvalues is not None for b in X.blocks)
+    assert all(b._tails["-"].start == -math.inf and b._eigenvalues is not None for b in X.blocks)
 
 
 # ---------------------------------------------------------------------------
