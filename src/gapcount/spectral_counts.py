@@ -37,13 +37,14 @@ lambdas toward a gap edge needs only one such pair, below its lowest rung
 and above its highest: equal counts leave no eigenvalue anywhere in the
 ladder's span, and only an eigenvalue inside it makes the rungs bisect.
 
-The asymptotic table picks each tau's box by the stabilization of N_bs
-and counts N_direct on that box only; it and `gapcount count` flag
-`mismatch` on disagreement.  Its one Gamma, kept on the table and not on
-the rows, rejects a lambda within 1e-12 of a band before any box is built.
-Every box is built and its lambda checked, but the BS tails run from the
-largest box down and, below the two largest, only for the taus that no
-agreeing pair above has settled.
+The asymptotic table picks each tau's box by the stabilization of
+N_direct, which equals N_bs on every box by the Birman-Schwinger principle
+and costs one shifted factor, and counts N_bs on that box only; it and
+`gapcount count` flag `mismatch` on disagreement.  Its one Gamma, kept on
+the table and not on the rows, rejects a lambda within 1e-12 of a band
+before any box is built.  Every box is built and its lambda checked, but
+the direct counts run from the largest box down and, below the two
+largest, only for the taus that no agreeing pair above has settled.
 
 Every counting function takes H_L either as a FiniteHamiltonian or as a
 symmetric matrix, sparse or dense, and V as a float array of site values.
@@ -656,22 +657,25 @@ def asymptotic_table(
     """Stabilization-in-L counting table compared against tau^p Gamma.
 
     Each tau's row takes the larger box of the last pair of consecutive boxes
-    whose N_bs agree, or the largest box, flagged unstabilized, when no pair
-    agrees.  Every box is built and its lambda checked as a resolvent point,
-    but the BS tails run from the largest box down: the two largest count
-    every tau, a smaller box only the taus that no pair above it has settled,
-    and none once every tau has settled.  N_direct is counted once per tau,
-    on its row's box.
+    whose N_direct agree, or the largest box, flagged unstabilized, when no
+    pair agrees; N_bs = N_direct on every box by the Birman-Schwinger
+    principle, so the exact inertia count chooses the box.  Every box is
+    built and its lambda checked as a resolvent point, but the direct counts
+    run from the largest box down: the two largest count every distinct tau,
+    a smaller box only the taus that no pair above it has settled, and none
+    once every tau has settled.  N_bs is counted once per distinct tau, on
+    its row's box.
     """
     tau_list = list(tau_list)
     if not tau_list:
         raise CountingError("tau_list must not be empty")
-    couplings = [_coupling(tau, sign) for tau in tau_list]
+    coupling = {tau: _coupling(tau, sign) for tau in tau_list}
+    L_list = list(L_list)
+    if any(isinstance(L, bool) or not isinstance(L, (int, np.integer)) or L < 0 for L in L_list):
+        raise CountingError(f"box radii must be integers >= 0, got {L_list}")
     L_list = sorted(L_list)
     if not L_list or len(set(L_list)) < len(L_list):
         raise CountingError(f"L_list must hold at least one box radius and no repeats, got {L_list}")
-    if any(not isinstance(L, (int, np.integer)) or L < 0 for L in L_list):
-        raise CountingError(f"box radii must be integers >= 0, got {L_list}")
     Lmax = L_list[-1]
     for tau in tau_list:
         need = _SUPPORT_C * tau ** (p / graph.dim)
@@ -692,28 +696,33 @@ def asymptotic_table(
         # public, so perfbench times it; checks H_L, V and lambda for both routes
         boxes.append((V, bs_matrix(assemble_truncated(graph, L), V, lam)))
 
-    # BS counts by (box, tau), from the largest box down.  Box i settles a tau
-    # at box i + 1 when the two agree; unsettled taus go widest threshold
-    # first, so that one tail per block and sign serves them all.
+    # N_direct by (box, tau), from the largest box down, each distinct tau
+    # once per box.  Box i settles a tau at box i + 1 when the two agree.
+    taus = sorted(coupling, reverse=True)
     top = len(boxes) - 1
-    cbs, settled = {}, {}
-    unsettled = sorted(set(tau_list), reverse=True)
+    ndir, settled = {}, {}
+    unsettled = taus
     for i in range(top, -1, -1):
         if not unsettled:
             break
+        V, X = boxes[i]
         for tau in unsettled:
-            cbs[i, tau] = counting_bs(boxes[i][1], tau, sign)
+            ndir[i, tau] = _direct_count(X.H, V, lam, coupling[tau], X.below)
         if i < top:
-            settled.update((tau, i + 1) for tau in unsettled if cbs[i, tau].value == cbs[i + 1, tau].value)
+            settled.update((tau, i + 1) for tau in unsettled if ndir[i, tau] == ndir[i + 1, tau])
             unsettled = [tau for tau in unsettled if tau not in settled]
 
+    # N_bs once per tau, on its row's box, widest threshold first, so that one
+    # tail per block and sign serves every tau on that box.
+    row_box = {tau: settled.get(tau, top) for tau in taus}
+    cbs = {tau: counting_bs(boxes[row_box[tau]][1], tau, sign) for tau in taus}
+
     rows = []
-    for tau, t in zip(tau_list, couplings):
-        i = settled.get(tau, top)
-        V, X = boxes[i]
-        cb, ndir = cbs[i, tau], _direct_count(X.H, V, lam, t, X.below)
-        flags = ["unstabilized"] * (tau not in settled) + ["boundary"] * cb.boundary + ["mismatch"] * (cb.value != ndir)
+    for tau in tau_list:
+        i = row_box[tau]
+        cb, nd = cbs[tau], ndir[i, tau]
+        flags = ["unstabilized"] * (tau not in settled) + ["boundary"] * cb.boundary + ["mismatch"] * (cb.value != nd)
         denom = tau**p * gamma.value
         ratio = cb.value / denom if denom > 0 else math.inf
-        rows.append(CountRow(tau, L_list[i], cb.value, ndir, ratio, tuple(flags)))
+        rows.append(CountRow(tau, L_list[i], cb.value, nd, ratio, tuple(flags)))
     return CountingTable(tuple(rows), gamma)

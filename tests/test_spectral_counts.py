@@ -19,6 +19,7 @@ from gapcount.periodic_graph import (
     sample_potential,
     square_lattice,
     theta_const,
+    theta_cos2,
 )
 from gapcount.spectral_counts import (
     CountingError,
@@ -274,22 +275,31 @@ def test_asymptotic_table_assembles_each_box_once(monkeypatch):
     assert sorted(calls) == [20, 40]
 
 
-def test_asymptotic_table_counts_n_direct_once_per_tau(monkeypatch):
-    calls = []
-    direct = sc._direct_count
+def test_asymptotic_table_counts_n_bs_once_per_tau(monkeypatch):
+    direct, bs = [], []
+    count_direct, count_bs = sc._direct_count, sc.counting_bs
 
-    def spy(*args):
-        calls.append(args[0].shape[0])
-        return direct(*args)
+    def direct_spy(A, v, lam, t, below):
+        direct.append((A.shape[0], abs(t)))
+        return count_direct(A, v, lam, t, below)
 
-    monkeypatch.setattr(sc, "_direct_count", spy)
+    def bs_spy(X, tau, sign):
+        bs.append((X.H.shape[0], tau))
+        return count_bs(X, tau, sign)
+
+    monkeypatch.setattr(sc, "_direct_count", direct_spy)
+    monkeypatch.setattr(sc, "counting_bs", bs_spy)
     table = asymptotic_table(
         square_lattice(1), theta_const(1.0), p=1.0, lam=-1.0, sign="-",
-        tau_list=(2.0, 4.0), L_list=(20, 40, 80), grid=32,
+        tau_list=(2.0, 4.0, 2.0), L_list=(20, 40, 80), grid=32,
     )
-    # one call per tau, on the box its row reports
-    assert calls == [2 * r.L + 1 for r in table.rows]
+    assert [(r.tau, r.L, r.N_bs, r.flags) for r in table.rows] == [(2.0, 80, 1, ()), (4.0, 80, 3, ()), (2.0, 80, 1, ())]
     assert all(r.N_bs == r.N_direct for r in table.rows)
+    # N_direct from the largest box down, each distinct tau once per box; the
+    # top pair settles both taus, so the box of 41 sites counts none
+    assert direct == [(161, 4.0), (161, 2.0), (81, 4.0), (81, 2.0)]
+    # N_bs once per distinct tau, on its row's box, widest threshold first
+    assert bs == [(161, 4.0), (161, 2.0)]
 
 
 def test_asymptotic_table_skips_the_tails_of_settled_boxes(monkeypatch):
@@ -307,68 +317,130 @@ def test_asymptotic_table_skips_the_tails_of_settled_boxes(monkeypatch):
 
     monkeypatch.setattr(sc, "bs_matrix", build_spy)
     monkeypatch.setattr(sc.BSBlock, "count", count_spy)
+    runs = _spy_tail_runs(monkeypatch)
     table = asymptotic_table(
         square_lattice(1), theta_const(1.0), p=1.0, lam=-1.0, sign="-",
         tau_list=(2.0, 4.0), L_list=(20, 40, 80), grid=32,
     )
-    # the boxes L = 40 and 80 agree for both taus, so the blocks of L = 20,
-    # of 21 and 20 sites, get no tail
+    # the boxes L = 40 and 80 agree for both taus, so only the even and odd
+    # blocks of L = 80, of 81 and 80 sites, count, and each runs one tail at
+    # the widest threshold
     assert [(r.L, r.N_bs, r.flags) for r in table.rows] == [(80, 1, ()), (80, 3, ())]
     assert built == [41, 81, 161]
-    assert sorted(set(counted)) == [40, 41, 80, 81]
+    assert counted == [81, 80, 81, 80]
+    assert runs == [(81, 1.0 / 4.0), (80, 1.0 / 4.0)]
 
 
 _BOXES = (10, 20, 40, 80)
 
 
-def _fake_bs_counts(monkeypatch, nbs):
-    """Make counting_bs return nbs[tau][k] on the k-th box of _BOXES and
+def _fake_direct_counts(monkeypatch, ndir):
+    """Make _direct_count return ndir[tau][k] on the k-th box of _BOXES and
     record the (box, tau) pairs it is asked for."""
     calls = []
     box = {2 * L + 1: k for k, L in enumerate(_BOXES)}
 
-    def fake(X, tau, sign):
-        calls.append((_BOXES[box[X.H.shape[0]]], tau))
-        return sc.Count(nbs[tau][box[X.H.shape[0]]], False)
+    def fake(A, v, lam, t, below):
+        k = box[A.shape[0]]
+        calls.append((_BOXES[k], abs(t)))
+        return ndir[abs(t)][k]
 
-    monkeypatch.setattr(sc, "counting_bs", fake)
+    monkeypatch.setattr(sc, "_direct_count", fake)
     return calls
 
 
-def _reference_rows(graph, nbs, gamma):
-    """Rows by counting every box and taking the larger box of the last pair
-    of consecutive boxes that agree, or the largest box, unstabilized."""
+def _reference_rows(graph, ndir, gamma):
+    """Rows by taking the larger box of the last pair of consecutive boxes
+    whose N_direct agree, or the largest box, unstabilized, and counting N_bs
+    on that box."""
     rows = []
-    for tau, counts in nbs.items():
+    for tau, counts in ndir.items():
         same = [k + 1 for k in range(len(_BOXES) - 1) if counts[k] == counts[k + 1]]
         k = same[-1] if same else len(_BOXES) - 1
         L = _BOXES[k]
         H, v = assemble_truncated(graph, L), sample_potential(graph, theta_const(1.0), 1.0, L)
-        ndir = counting_direct(H, v, -1.0, tau, "-").value
-        flags = ("unstabilized",) * (not same) + ("mismatch",) * (counts[k] != ndir)
-        rows.append((tau, L, counts[k], ndir, flags, counts[k] / (tau * gamma)))
+        cb = counting_bs(bs_matrix(H, v, -1.0), tau, "-")
+        flags = ("unstabilized",) * (not same) + ("boundary",) * cb.boundary + ("mismatch",) * (cb.value != counts[k])
+        rows.append((tau, L, cb.value, counts[k], flags, cb.value / (tau * gamma)))
     return rows
 
 
 def test_asymptotic_table_counts_small_boxes_only_for_unsettled_taus(monkeypatch):
     graph = square_lattice(1)
-    nbs = {
-        1.0: [5, 5, 6, 6],  # the top pair agrees: row L = 80
-        2.0: [1, 3, 3, 4],  # L = 20 and 40 agree: row L = 40
-        4.0: [2, 2, 3, 4],  # only L = 10 and 20 agree: row L = 20
-        8.0: [1, 2, 3, 4],  # no pair agrees: row L = 80, unstabilized
+    # the true N_bs is 0, 1, 3 and 7 on every box
+    ndir = {
+        1.0: [1, 0, 0, 0],  # the top pair agrees: row L = 80
+        2.0: [0, 1, 1, 2],  # L = 20 and 40 agree: row L = 40
+        4.0: [3, 3, 2, 1],  # only L = 10 and 20 agree: row L = 20
+        8.0: [4, 5, 6, 8],  # no pair agrees: row L = 80, unstabilized, and 8 != 7
     }
-    calls = _fake_bs_counts(monkeypatch, nbs)
-    table = asymptotic_table(graph, theta_const(1.0), p=1.0, lam=-1.0, sign="-", tau_list=tuple(nbs), L_list=_BOXES)
+    calls = _fake_direct_counts(monkeypatch, ndir)
+    bs = []
+    count_bs = sc.counting_bs
+
+    def bs_spy(X, tau, sign):
+        bs.append(((X.H.shape[0] - 1) // 2, tau))
+        return count_bs(X, tau, sign)
+
+    monkeypatch.setattr(sc, "counting_bs", bs_spy)
+    table = asymptotic_table(graph, theta_const(1.0), p=1.0, lam=-1.0, sign="-", tau_list=tuple(ndir), L_list=_BOXES)
     rows = [(r.tau, r.L, r.N_bs, r.N_direct, r.flags, r.ratio) for r in table.rows]
-    assert rows == _reference_rows(graph, nbs, table.gamma.value)
-    # from the largest box down, widest threshold first, unsettled taus only
+    assert rows == _reference_rows(graph, ndir, table.gamma.value)
+    assert [r.flags for r in table.rows] == [(), (), (), ("unstabilized", "mismatch")]
+    # N_direct from the largest box down, widest threshold first, unsettled
+    # taus only
     assert calls == [
         (80, 8.0), (80, 4.0), (80, 2.0), (80, 1.0),
         (40, 8.0), (40, 4.0), (40, 2.0), (40, 1.0),
         (20, 8.0), (20, 4.0), (20, 2.0),
         (10, 8.0), (10, 4.0),
     ]
+    # N_bs once per tau, on its row's box, widest threshold first
+    assert bs == [(80, 8.0), (20, 4.0), (40, 2.0), (80, 1.0)]
+
+
+def _oracle_rows(graph, theta, p, lam, sign, tau_list, L_list, gamma):
+    """Rows by counting N_bs and N_direct on every box and taking the larger
+    box of the last pair of consecutive boxes whose N_bs agree, or the largest
+    box, unstabilized.  The two routes must agree on every box."""
+    counts = []
+    for L in L_list:
+        H, v = assemble_truncated(graph, L), sample_potential(graph, theta, p, L)
+        X = bs_matrix(H, v, lam)
+        counts.append({tau: (counting_bs(X, tau, sign), counting_direct(H, v, lam, tau, sign).value) for tau in tau_list})
+    rows = []
+    for tau in tau_list:
+        nbs = [c[tau][0].value for c in counts]
+        assert nbs == [c[tau][1] for c in counts]
+        same = [k + 1 for k in range(len(L_list) - 1) if nbs[k] == nbs[k + 1]]
+        k = same[-1] if same else len(L_list) - 1
+        cb, ndir = counts[k][tau]
+        flags = ("unstabilized",) * (not same) + ("boundary",) * cb.boundary + ("mismatch",) * (cb.value != ndir)
+        rows.append(sc.CountRow(tau, L_list[k], cb.value, ndir, cb.value / (tau**p * gamma), flags))
+    return tuple(rows)
+
+
+_HONEYCOMB = load_graph(Path(__file__).parent / "data" / "honeycomb.json")
+
+
+@pytest.mark.parametrize(
+    "graph, theta, p, lam, sign, tau_list, L_list, rows_L",
+    [
+        (square_lattice(1), theta_const(1.0), 1.0, -1.0, "-", (5.0, 10.0, 20.0), (2, 3, 4, 6, 200), [200, 6, 200]),
+        (square_lattice(1), theta_const(1.0), 2.0, -1.0, "-", (2.0, 3.0), (2, 3, 4, 90), [90, 3]),
+        (dimer_chain(), theta_const(1.0), 1.0, 3.0, "-", (3.0, 6.0), (2, 3, 4, 60), [60, 4]),
+        (dimer_chain(), theta_const(1.0), 1.0, 3.0, "+", (3.0, 6.0), (2, 3, 4, 6, 60), [60, 4]),
+        (_HONEYCOMB, theta_const(1.0), 1.0, 3.5, "-", (4.0, 9.0), (1, 2, 3, 30), [30, 30]),
+        (_HONEYCOMB, theta_const(1.0), 1.0, 3.5, "+", (4.0, 9.0), (1, 2, 3, 30), [3, 30]),
+        (square_lattice(2), theta_cos2(), 1.0, -1.0, "-", (4.0, 8.0), (1, 2, 3, 30), [30, 30]),
+    ],
+    ids=["square1-p1", "square1-p2", "dimer-minus", "dimer-plus", "honeycomb-minus", "honeycomb-plus", "square2-cos2"],
+)
+def test_asymptotic_table_matches_the_n_bs_rule_on_every_box(graph, theta, p, lam, sign, tau_list, L_list, rows_L):
+    # boxes small enough that some rows settle below the top pair, or not at all
+    table = asymptotic_table(graph, theta, p, lam, sign, tau_list, L_list, grid=32)
+    assert table.rows == _oracle_rows(graph, theta, p, lam, sign, tau_list, L_list, table.gamma.value)
+    assert [r.L for r in table.rows] == rows_L
 
 
 def test_asymptotic_table_checks_a_box_whose_tails_it_skips(monkeypatch):
@@ -380,7 +452,7 @@ def test_asymptotic_table_checks_a_box_whose_tails_it_skips(monkeypatch):
         return check(A, lams)
 
     monkeypatch.setattr(sc, "_resolvent_counts", reject_smallest)
-    # the boxes L = 40 and 80 agree for tau = 2, so L = 10 needs no tail
+    # the boxes L = 40 and 80 agree for tau = 2, so L = 10 needs no count
     with pytest.raises(CountingError, match="within 1e-8"):
         asymptotic_table(
             square_lattice(1), theta_const(1.0), p=1.0, lam=-1.0, sign="-",
@@ -390,8 +462,17 @@ def test_asymptotic_table_checks_a_box_whose_tails_it_skips(monkeypatch):
 
 @pytest.mark.parametrize(
     "tau_list, L_list, match",
-    [((), (20, 40), "tau_list"), ((2.0,), (40.5, 60), "integers"), ((2.0,), (-5, 40), "integers")],
-    ids=["no-tau", "fractional-L", "negative-L"],
+    [
+        ((), (20, 40), "tau_list"),
+        ((2.0,), (40.5, 60), "integers"),
+        ((2.0,), (-5, 40), "integers"),
+        # checked before sorting, which raised a bare TypeError on the first
+        # two; True is an int, but not a box radius
+        ((2.0,), (10, None), "integers"),
+        ((2.0,), (10, "20"), "integers"),
+        ((2.0,), (True, 40), "integers"),
+    ],
+    ids=["no-tau", "fractional-L", "negative-L", "none-L", "string-L", "bool-L"],
 )
 def test_asymptotic_table_rejects_inputs_before_the_bands(monkeypatch, tau_list, L_list, match):
     def no_bands(*args):
